@@ -190,6 +190,8 @@ def cmd_evf(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if not args.out:
+        raise ConfigError("sweep writes multiple files; --out DIRECTORY is required")
     q = parse_q_argument(args.q)
     cells = args.cells if args.cells is not None else int(
         os.environ.get("SL_CELLS", sweep.DEFAULT_SWEEP_CELLS))
@@ -203,8 +205,6 @@ def cmd_sweep(args) -> int:
     grid = sweep.uniform_grid(args.vary, args.grid, lo, hi)
     plan = sweep.SweepPlan(q, args.n, args.vary, fixed, grid, cells)
     result = sweep.run_sweep(plan)
-    if not args.out:
-        raise ConfigError("sweep writes multiple files; --out DIRECTORY is required")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     write_rows([{"angle": a, "mu": m} for a, m in result.eigenvalue_path],

@@ -129,11 +129,22 @@ class SolutionTrajectory:
 
 @dataclass(frozen=True)
 class PhaseRecord:
-    """Continuous polar angle of (y', y) carried to the far endpoint."""
+    """Continuous polar angle of (y', y) carried to the far endpoint.
+
+    y and yp are the far-end state in its stored scale, and square is the
+    integral of y**2 over the whole launch-to-far-end span in the square of
+    that scale, so it stays finite however far the log scales run.  Their
+    ratio gives the exact mu-derivative of the phase: by the Wronskian
+    identity d(theta_terminal)/dmu = +-square / (y**2 + yp**2), positive for
+    left launches and negative for right launches.
+    """
 
     mu: float
     theta_terminal: float
     direction: str
+    y: float
+    yp: float
+    square: float
 
 
 # -- mesh ---------------------------------------------------------------------
@@ -373,8 +384,12 @@ def _phase_profile(states, w_visit, s_visit, launch_angle_raw):
     trig = w_visit > 0.0
     if np.any(trig):
         sqw = np.sqrt(w_visit[trig])
-        vs = _cmod(np.arctan2(y[:-1][trig] * sqw, yp[:-1][trig]))
-        ve = _cmod(np.arctan2(y[1:][trig] * sqw, yp[1:][trig]))
+        # reduce the scaled angles by the half-turn of the unscaled ones they
+        # share: reduced apart, a state with y' ~ 0 can wrap one and not the
+        # other, and the terminal phase then jumps by pi
+        turn = ang - u
+        vs = np.arctan2(y[:-1][trig] * sqw, yp[:-1][trig]) - turn[:-1][trig]
+        ve = np.arctan2(y[1:][trig] * sqw, yp[1:][trig]) - turn[1:][trig]
         rot = sqw * s_visit[trig]
         delta[trig] = np.pi * np.round((vs + rot - ve) / np.pi) + (u[1:][trig] - u[:-1][trig])
     theta = np.empty(len(states))
@@ -393,13 +408,17 @@ def _visit_arrays(q: Potential, mu: float, ic: EndpointConditions, cells: int):
     return mesh, w, w[::-1], -widths[::-1]
 
 
-def _cum_square_true(states, sig_pts, w_visit, s_visit, direction):
+def _square_increments(states, w_visit, s_visit, direction):
+    """Per-cell integral of y**2 in each cell's launch-edge stored scale."""
     f = _cell_functions(w_visit, s_visit, variational=False, integrals=True)
     y0 = states[:-1, 0]
     yp0 = states[:-1, 1]
     inc = y0 * y0 * f["intC2"] + 2.0 * y0 * yp0 * f["intCS"] + yp0 * yp0 * f["intS2"]
-    if direction == _RIGHT:
-        inc = -inc
+    return -inc if direction == _RIGHT else inc
+
+
+def _cum_square_true(states, sig_pts, w_visit, s_visit, direction):
+    inc = _square_increments(states, w_visit, s_visit, direction)
     sig_start = sig_pts[:-1]
     smax = float(sig_start.max())
     with np.errstate(over="ignore", under="ignore"):
@@ -439,21 +458,25 @@ def propagate(q: Potential, mu: float, ic: EndpointConditions,
     )
 
 
-def phase_at_far_end(q: Potential, mu: float, ic: EndpointConditions,
-                     cells: int = DEFAULT_CELLS) -> PhaseRecord:
-    """Terminal continuous phase; increasing in mu for left launches,
-    decreasing for right launches."""
-    theta = terminal_phase(q, float(mu), ic, cells)
-    return PhaseRecord(mu=float(mu), theta_terminal=theta, direction=ic.side)
-
-
 def terminal_phase(q: Potential, mu: float, ic: EndpointConditions,
-                   cells: int = DEFAULT_CELLS) -> float:
+                   cells: int = DEFAULT_CELLS) -> PhaseRecord:
+    """Terminal continuous phase, with the far-end state and the integral of
+    y**2 that give its mu-derivative; the phase increases in mu for left
+    launches and decreases for right launches."""
+    mu = float(mu)
     _, _, w_visit, s_visit = _visit_arrays(q, mu, ic, cells)
     y0, yp0 = ic.initial_state()
-    states, _ = _propagate_states(w_visit, s_visit, np.array([y0, yp0]), False)
+    states, sig_pts = _propagate_states(w_visit, s_visit, np.array([y0, yp0]), False)
     theta = _phase_profile(states, w_visit, s_visit, math.atan2(y0, yp0))
-    return float(theta[-1])
+    inc = _square_increments(states, w_visit, s_visit, ic.side)
+    with np.errstate(over="ignore", under="ignore"):
+        square = float(np.sum(inc * np.exp(2.0 * (sig_pts[:-1] - sig_pts[-1]))))
+    return PhaseRecord(mu=mu, theta_terminal=float(theta[-1]), direction=ic.side,
+                       y=float(states[-1, 0]), yp=float(states[-1, 1]), square=square)
+
+
+# the name under which the package exports terminal_phase
+phase_at_far_end = terminal_phase
 
 
 def phase_profile(q: Potential, mu: float, ic: EndpointConditions,

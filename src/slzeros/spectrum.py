@@ -3,11 +3,17 @@ function chart.
 
 Eigenvalues are indexed by the terminal phase of the left-launched solution:
 the n-th eigenvalue is the unique mu where that phase equals
-(n+1)*pi - beta, a strictly increasing function of mu.  Bisection on the
-phase therefore never misses or double-counts an eigenvalue; a Newton
-polish on the characteristic function (whose mu-derivative comes from the
-variational components) finishes the root off without leaving the final
-bisection bracket.
+(n+1)*pi - beta, a strictly increasing function of mu.  A bracket on which
+the phase straddles that target is found first, so the search can never
+miss or double-count an eigenvalue.  Inside it a safeguarded Newton
+iteration runs on the scaled Pruefer angle of (k*y, y'), k the local
+frequency at pi, using the exact mu-derivative that the Wronskian identity
+gives, d(theta)/dmu = int y**2 / (y(pi)**2 + y'(pi)**2) (Pryce 1993;
+Bailey, Gordon and Shampine 1978); every evaluated phase narrows the
+bracket, and a step that leaves it or fails to halve is replaced by
+bisection.  A Newton polish on the characteristic function (whose
+mu-derivative comes from the variational components) finishes the root off
+without leaving the bracket reached.
 
 The eigenvalues function mu(gamma, delta) unrolls the two-parameter family
 of boundary problems into a single chart via gamma = alpha + pi*n,
@@ -28,6 +34,7 @@ from .errors import BracketFailure, CountMismatch, DomainMismatch, MonotonicityV
 from .potential import PI, Potential
 from .shooting import (
     DEFAULT_CELLS,
+    _mesh_data,
     left_conditions,
     min_cell_average,
     propagate,
@@ -143,40 +150,68 @@ def _characteristic_and_derivative(q, mu, bc, cells):
 
 @lru_cache(maxsize=100_000)
 def _locate_mu(q: Potential, n: int, alpha: float, beta: float, cells: int) -> float:
-    """Phase bracketing + bisection + Newton polish for the n-th eigenvalue."""
+    """Phase bracketing + safeguarded Newton on the scaled phase + Newton
+    polish on the characteristic function for the n-th eigenvalue."""
     bc = BoundaryParams(alpha, beta)
     ic = left_conditions(alpha)
     target = (n + 1) * PI - beta
 
     lo = min_cell_average(q, cells) - 1.0
     hi = (n + 2) ** 2 + q.l1_norm + 1.0
-    th_lo = terminal_phase(q, lo, ic, cells)
-    th_hi = terminal_phase(q, hi, ic, cells)
+    th_lo = terminal_phase(q, lo, ic, cells).theta_terminal
+    th_hi = terminal_phase(q, hi, ic, cells).theta_terminal
     for _ in range(_MAX_EXPANSIONS):
         if th_lo < target < th_hi:
             break
         width = hi - lo
         if th_lo >= target:
             lo -= width
-            th_lo = terminal_phase(q, lo, ic, cells)
+            th_lo = terminal_phase(q, lo, ic, cells).theta_terminal
         if th_hi <= target:
             hi += width
-            th_hi = terminal_phase(q, hi, ic, cells)
+            th_hi = terminal_phase(q, hi, ic, cells).theta_terminal
     else:
         if not (th_lo < target < th_hi):
             raise BracketFailure(
                 f"phase target for n={n} not straddled on probe range [{lo}, {hi}]",
                 lo=lo, hi=hi)
 
-    mid = 0.5 * (lo + hi)
-    while hi - lo > _BRACKET_REL * max(1.0, abs(mid)):
-        mid = 0.5 * (lo + hi)
-        if terminal_phase(q, mid, ic, cells) < target:
-            lo = mid
-        else:
-            hi = mid
-
+    # Newton runs on the Pruefer angle of (k*y, y') with k the local
+    # frequency in the last cell: the unscaled angle is a staircase in mu
+    # whose slope changes by a factor of about mu between y(pi) = 0 and
+    # y'(pi) = 0, while the scaled one is close to linear in sqrt(mu).
+    # The lifted half-turn count is the unscaled one, and the brackets are
+    # kept on the unscaled phase against the unscaled target.
+    q_end = float(_mesh_data(q, cells)[2][-1])
+    sb, cb = math.sin(beta), math.cos(beta)
     mu = 0.5 * (lo + hi)
+    last_step = hi - lo
+    while hi - lo > _BRACKET_REL * max(1.0, abs(mu)):
+        rec = terminal_phase(q, mu, ic, cells)
+        if rec.theta_terminal < target:
+            lo = mu
+        else:
+            hi = mu
+        k = math.sqrt(max(mu - q_end, 1.0))
+        y, yp = rec.y, rec.yp
+        scaled = rec.theta_terminal + math.atan2(k * y, yp) - math.atan2(y, yp)
+        slope = k * rec.square / (k * k * y * y + yp * yp)
+        step = math.nan
+        if math.isfinite(slope) and slope > 0.0:
+            step = (n * PI + math.atan2(k * sb, -cb) - scaled) / slope
+            # near the root the lifted phase and the terminal atan2 differ
+            # by roundoff, so the last step may point just outside the
+            # bracket: convergence is tested before the safeguard
+            if abs(step) <= _BRACKET_REL * max(1.0, abs(mu)):
+                mu = min(max(mu + step, lo), hi)
+                break
+        if not (lo < mu + step < hi) or abs(step) > 0.5 * abs(last_step):
+            step = 0.5 * (lo + hi) - mu
+        last_step = step
+        mu += step
+    else:
+        mu = 0.5 * (lo + hi)
+
     for _ in range(_NEWTON_CAP):
         psi, dpsi = _characteristic_and_derivative(q, mu, bc, cells)
         if dpsi == 0.0:
@@ -215,10 +250,18 @@ def find_eigenvalue(q: Potential, n: int, bc: BoundaryParams,
 
 def eigenvalue_bracket(q: Potential, n: int, bc: BoundaryParams,
                        cells: int = DEFAULT_CELLS) -> tuple[float, float]:
-    """Final bisection bracket around the n-th eigenvalue (for diagnostics)."""
+    """Bracket of half-width 1e-12*max(1, |mu|) around the located n-th
+    eigenvalue, with both ends checked to straddle the phase target."""
     mu = _locate_mu(q, n, bc.alpha, bc.beta, cells)
     half = _BRACKET_REL * max(1.0, abs(mu))
-    return mu - half, mu + half
+    lo, hi = mu - half, mu + half
+    ic = left_conditions(bc.alpha)
+    target = (n + 1) * PI - bc.beta
+    if not (terminal_phase(q, lo, ic, cells).theta_terminal < target
+            < terminal_phase(q, hi, ic, cells).theta_terminal):
+        raise BracketFailure(f"phase target for n={n} not straddled by [{lo}, {hi}]",
+                             lo=lo, hi=hi)
+    return lo, hi
 
 
 def evf(q: Potential, coords: EvfCoordinates, cells: int = DEFAULT_CELLS) -> float:

@@ -88,6 +88,8 @@ class SweepPlan:
 def uniform_grid(vary: str, count: int = 64, lo: float | None = None,
                  hi: float | None = None) -> tuple[float, ...]:
     """Default sweep grid: uniform angles inside the legal range."""
+    if count < 2:
+        raise DomainMismatch(f"sweep grid needs at least 2 angles, got {count}")
     if vary == VARY_BETA:
         lo = 0.0 if lo is None else lo
         hi = 0.95 * PI if hi is None else hi
@@ -134,6 +136,9 @@ def _solve_angle(plan: SweepPlan, angle: float):
 def link_zeros(prev: list[float], new: list[float], guard: float):
     """Match new zeros to previous ones by proximity.
 
+    Zeros only move right along a sweep (the angle grid increases, and both
+    sweep kinds watch an eigenfunction whose zeros move right), so a new
+    zero can only descend from a previous zero at or to the left of it.
     Returns (matches old_index -> new_index, entered new indices, exited
     old indices).  Raises LinkAmbiguity when two new zeros claim the same
     ancestor, which signals a grid too coarse for the motion.
@@ -143,8 +148,8 @@ def link_zeros(prev: list[float], new: list[float], guard: float):
     for j, x in enumerate(new):
         best, best_d = None, guard
         for i, xp in enumerate(prev):
-            d = abs(x - xp)
-            if d < best_d:
+            d = x - xp
+            if 0.0 <= d < best_d:
                 best, best_d = i, d
         if best is None:
             continue

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from slzeros import sweep
 from slzeros.cli import main, parse_angle, parse_q_argument
 
 PI = math.pi
@@ -118,10 +119,23 @@ def test_sweep_grid_too_small(capsys, tmp_path):
     assert "8" in err
 
 
-def test_sweep_requires_out(capsys):
+def test_sweep_grid_of_one(capsys, tmp_path):
+    code, _, err = run_cli(["sweep", "--q", "zero", "--n", "1", "--vary", "beta",
+                            "--alpha", "pi", "--grid", "1",
+                            "--out", str(tmp_path / "x")], capsys)
+    assert code == 2
+    assert "DomainMismatch" in err
+
+
+def test_sweep_requires_out(capsys, monkeypatch):
+    def fail(plan):
+        raise AssertionError("sweep ran before --out was checked")
+
+    monkeypatch.setattr(sweep, "run_sweep", fail)
     code, _, err = run_cli(["sweep", "--q", "zero", "--n", "1", "--vary", "beta",
                             "--alpha", "pi", "--grid", "12"], capsys)
     assert code == 2
+    assert "--out" in err
 
 
 def test_solver_fault_maps_to_exit_3(capsys):

@@ -166,7 +166,7 @@ def test_identity_requires_variational_data(q_zero):
 def test_zero_count_matches_phase_lifting(q_step, mu, angle):
     # zeros in (0, pi] correspond one-to-one to multiples of pi crossed by
     # the continuous phase; stay away from grazing configurations
-    theta_end = terminal_phase(q_step, mu, left_conditions(angle), 256)
+    theta_end = terminal_phase(q_step, mu, left_conditions(angle), 256).theta_terminal
     assume(abs(theta_end / PI - round(theta_end / PI)) > 1e-3)
     traj = propagate(q_step, mu, left_conditions(angle), 256, variational=False)
     records = find_zeros(traj)

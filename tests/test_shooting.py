@@ -99,11 +99,11 @@ def test_wronskian_identity_along_mesh(q_cos2x, side, angle):
 
 
 def test_phase_flat_against_ode_oracle(q_zero):
-    got = terminal_phase(q_zero, 1.0, left_conditions(PI), 256)
+    got = terminal_phase(q_zero, 1.0, left_conditions(PI), 256).theta_terminal
     want = phase_ode_terminal(lambda x: 0.0, 1.0, PI)
     assert got == pytest.approx(want, abs=1e-8)
     assert got == pytest.approx(PI, abs=1e-12)
-    got4 = terminal_phase(q_zero, 4.0, left_conditions(PI), 256)
+    got4 = terminal_phase(q_zero, 4.0, left_conditions(PI), 256).theta_terminal
     assert got4 == pytest.approx(2 * PI, abs=1e-12)
 
 
@@ -111,24 +111,26 @@ def test_phase_cosine_against_ode_oracle(q_cos2x):
     # the propagated phase is exact for the cell-averaged potential, which
     # differs from the true one by O(cells**-2)
     for mu in (0.7, 5.0, 26.0):
-        got = terminal_phase(q_cos2x, mu, left_conditions(2.0), 2048)
+        got = terminal_phase(q_cos2x, mu, left_conditions(2.0), 2048).theta_terminal
         want = phase_ode_terminal(lambda x: math.cos(2 * x), mu, 2.0)
         assert got == pytest.approx(want, abs=2e-6)
 
 
 def test_phase_spectral_shift(q_const5, q_zero):
     for mu in (-3.0, 2.0, 17.0):
-        a = terminal_phase(q_const5, mu, left_conditions(1.0), 128)
-        b = terminal_phase(q_zero, mu - 5.0, left_conditions(1.0), 128)
+        a = terminal_phase(q_const5, mu, left_conditions(1.0), 128).theta_terminal
+        b = terminal_phase(q_zero, mu - 5.0, left_conditions(1.0), 128).theta_terminal
         assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_phase_monotone_in_mu(q_step):
     mus = np.linspace(-8.0, 40.0, 60)
-    thetas = [terminal_phase(q_step, m, left_conditions(3 * PI / 4), 256) for m in mus]
+    thetas = [terminal_phase(q_step, m, left_conditions(3 * PI / 4), 256).theta_terminal
+              for m in mus]
     assert all(b > a for a, b in zip(thetas, thetas[1:]))
     # right-launched phase decreases in mu
-    thetas_r = [terminal_phase(q_step, m, right_conditions(PI / 4), 256) for m in mus]
+    thetas_r = [terminal_phase(q_step, m, right_conditions(PI / 4), 256).theta_terminal
+                for m in mus]
     assert all(b < a for a, b in zip(thetas_r, thetas_r[1:]))
 
 
@@ -139,6 +141,44 @@ def test_phase_record_and_profile(q_zero):
     # lifting never jumps by more than pi between mesh neighbours
     assert np.abs(np.diff(theta)).max() < PI
     assert theta[-1] == pytest.approx(2 * PI, abs=1e-12)
+
+
+def _phase_slope(rec):
+    # Wronskian identity: d(theta)/dmu = +-int y^2 / (y^2 + y'^2) at the far end
+    sign = 1.0 if rec.direction == "left" else -1.0
+    return sign * rec.square / (rec.y ** 2 + rec.yp ** 2)
+
+
+@pytest.mark.parametrize("name", ["q_zero", "q_const5", "q_cos2x", "q_step", "q_singular"])
+def test_phase_slope_matches_central_difference(request, name):
+    q = request.getfixturevalue(name)
+    for ic in (left_conditions(2.0), right_conditions(1.0)):
+        for mu in (-6.0, 7.3, 60.0):
+            h = 1e-5 * max(1.0, abs(mu))
+            fd = (terminal_phase(q, mu + h, ic, 512).theta_terminal
+                  - terminal_phase(q, mu - h, ic, 512).theta_terminal) / (2 * h)
+            assert _phase_slope(terminal_phase(q, mu, ic, 512)) == pytest.approx(fd, rel=1e-6)
+
+
+def test_phase_slope_finite_under_log_scales(q_zero):
+    # deep enough that the running integral in the true scale overflows; the
+    # far-end scale keeps the slope finite
+    ic = left_conditions(0.002)
+    rec = terminal_phase(q_zero, -30000.0, ic, 4096)
+    slope = _phase_slope(rec)
+    assert math.isfinite(slope) and slope > 0.0
+    fd = (terminal_phase(q_zero, -29999.7, ic, 4096).theta_terminal
+          - terminal_phase(q_zero, -30000.3, ic, 4096).theta_terminal) / 0.6
+    assert slope == pytest.approx(fd, rel=1e-6)
+
+
+def test_phase_continuous_where_y_prime_vanishes(q_const5):
+    # mu = 105 is the n = 10 Neumann level of q = 5, so y'(pi) is at roundoff
+    # level there; the lifted phase must not jump by pi on either side
+    ic = left_conditions(PI / 2)
+    for mu in (105.0 - 1.4e-14, 105.0, 105.0 + 1.4e-14):
+        theta = terminal_phase(q_const5, mu, ic, 1024).theta_terminal
+        assert theta == pytest.approx(10.5 * PI, abs=1e-9)
 
 
 @given(mu=st.floats(-20.0, 60.0), angle=st.floats(0.05, PI))
@@ -184,7 +224,7 @@ def test_scan_matches_sequential_reference(q_step):
 def test_deep_hyperbolic_probe_no_overflow(q_zero):
     # the launch direction decays for this combination; the fallback path
     # must keep the phase finite and small
-    th = terminal_phase(q_zero, -4000.0, left_conditions(PI / 4 + 1e-3), 64)
+    th = terminal_phase(q_zero, -4000.0, left_conditions(PI / 4 + 1e-3), 64).theta_terminal
     assert math.isfinite(th)
     assert 0.0 < th < PI
 

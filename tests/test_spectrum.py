@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slzeros import potential
+from slzeros import potential, spectrum
 from slzeros.errors import BracketFailure, DomainMismatch
+from slzeros.shooting import left_conditions, min_cell_average, terminal_phase
 from slzeros.spectrum import (
     BoundaryParams,
     EvfCoordinates,
+    _characteristic_and_derivative,
     characteristic,
     characteristic_with_scale,
     eigenvalue_bracket,
@@ -96,6 +98,93 @@ def test_newton_stays_inside_bracket(q_cos2x):
     pair = find_eigenvalue(q_cos2x, 3, bc, 512)
     lo, hi = eigenvalue_bracket(q_cos2x, 3, bc, 512)
     assert lo <= pair.mu <= hi
+
+
+# -- the Newton search against the bisection it replaced ----------------------
+
+SEARCH_BCS = [(PI, 0.0), (PI / 2, PI / 2), (2.0, 1.0), (0.6, 2.5)]
+SEARCH_NS = (0, 1, 2, 5, 10, 20, 39)
+SEARCH_CELLS = 1024
+
+
+def _bisection_reference(q, n, alpha, beta, cells):
+    """Phase bracketing, bisection to a 1e-12 relative width and a Newton
+    polish on the characteristic function: the eigenvalue search as it was
+    before the phase slope was used."""
+    bc = BoundaryParams(alpha, beta)
+    ic = left_conditions(alpha)
+    target = (n + 1) * PI - beta
+
+    def phase(mu):
+        return terminal_phase(q, mu, ic, cells).theta_terminal
+
+    lo = min_cell_average(q, cells) - 1.0
+    hi = (n + 2) ** 2 + q.l1_norm + 1.0
+    th_lo, th_hi = phase(lo), phase(hi)
+    for _ in range(8):
+        if th_lo < target < th_hi:
+            break
+        width = hi - lo
+        if th_lo >= target:
+            lo -= width
+            th_lo = phase(lo)
+        if th_hi <= target:
+            hi += width
+            th_hi = phase(hi)
+    assert th_lo < target < th_hi
+    mid = 0.5 * (lo + hi)
+    while hi - lo > 1e-12 * max(1.0, abs(mid)):
+        mid = 0.5 * (lo + hi)
+        if phase(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    mu = 0.5 * (lo + hi)
+    for _ in range(5):
+        psi, dpsi = _characteristic_and_derivative(q, mu, bc, cells)
+        if dpsi == 0.0:
+            break
+        mu_new = min(max(mu - psi / dpsi, lo), hi)
+        done = abs(mu_new - mu) <= 1e-13 * max(1.0, abs(mu_new))
+        mu = mu_new
+        if done:
+            break
+    return mu
+
+
+@pytest.fixture(scope="module")
+def newton_solves(q_zero, q_const5, q_cos2x, q_step, q_singular):
+    """(q, n, alpha, beta, mu, phase evaluations) for every solve of the matrix."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return terminal_phase(*args, **kwargs)
+
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectrum, "terminal_phase", counted)
+        for q in (q_zero, q_const5, q_cos2x, q_step, q_singular):
+            for alpha, beta in SEARCH_BCS:
+                for n in SEARCH_NS:
+                    spectrum._locate_mu.cache_clear()
+                    calls.clear()
+                    mu = spectrum._locate_mu(q, n, alpha, beta, SEARCH_CELLS)
+                    out.append((q, n, alpha, beta, mu, len(calls)))
+    spectrum._locate_mu.cache_clear()
+    return out
+
+
+def test_newton_matches_bisection_reference(newton_solves):
+    for q, n, alpha, beta, mu, _ in newton_solves:
+        want = _bisection_reference(q, n, alpha, beta, SEARCH_CELLS)
+        assert abs(mu - want) <= 1e-12 * max(1.0, abs(want)), (q, n, alpha, beta)
+
+
+def test_newton_phase_evaluations(newton_solves):
+    evals = [e for *_, e in newton_solves]
+    assert np.mean(evals) <= 10.0
+    assert max(evals) <= 30
 
 
 def test_bracket_failure_for_extreme_boundary(q_zero):

@@ -88,6 +88,17 @@ def test_alpha_sweep_entry_event(q_zero):
     assert hi - lo <= 1e-8 and abs(hi - PI) < 1e-7
 
 
+def test_alpha_sweep_entry_beside_lone_zero(q_zero):
+    # n = 1 with the interior zero left of pi/2: the zero entering at x = 0
+    # lies within the lone zero's guard but to its left, so it cannot be
+    # that zero's continuation
+    plan = SweepPlan(q_zero, 1, "alpha", 0.3, uniform_grid("alpha", 10, lo=0.05 * PI), 512)
+    res = run_sweep(plan)
+    assert [e["event"] for e in res.events] == ["entered_at_left"]
+    assert res.events[0]["angle_hi"] == PI
+    assert sorted(t.points[-1][1] for t in res.trajectories)[0] == 0.0
+
+
 def test_interior_count_preserved(q_cos2x):
     plan = SweepPlan(q_cos2x, 2, "beta", PI, uniform_grid("beta", 12, hi=0.9 * PI), 512)
     res = run_sweep(plan)
@@ -124,4 +135,12 @@ def test_link_zeros_entry_exit():
 
 def test_link_zeros_ambiguity():
     with pytest.raises(LinkAmbiguity):
-        link_zeros([1.0], [0.9, 1.1], 0.5)
+        link_zeros([1.0], [1.05, 1.1], 0.5)
+
+
+def test_link_zeros_rightward_only():
+    # zeros move right along a sweep: a new zero left of every previous one
+    # has entered, however close it is
+    matches, entered, exited = link_zeros([1.0], [0.9, 1.1], 0.5)
+    assert matches == {0: 1}
+    assert entered == [0] and exited == []
