@@ -29,10 +29,8 @@ from .errors import (
 )
 from .oscillation import (
     ZeroRecord,
-    count_interior_zeros,
     find_zeros,
     identity_residual,
-    proportionality_constant,
     zero_velocity_phi,
     zero_velocity_psi,
 )
@@ -43,7 +41,6 @@ from .shooting import (
     PhaseRecord,
     SolutionTrajectory,
     left_conditions,
-    phase_at_far_end,
     propagate,
     right_conditions,
 )

@@ -117,11 +117,11 @@ def write_rows(rows: list[dict], columns, fmt: str, out: str | None,
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _default_cells(args) -> int:
+def _default_cells(args, default: int = DEFAULT_CELLS) -> int:
     if args.cells is not None:
         return args.cells
     env = os.environ.get("SL_CELLS")
-    return int(env) if env else DEFAULT_CELLS
+    return int(env) if env else default
 
 
 def _bc(args) -> spectrum.BoundaryParams:
@@ -193,8 +193,7 @@ def cmd_sweep(args) -> int:
     if not args.out:
         raise ConfigError("sweep writes multiple files; --out DIRECTORY is required")
     q = parse_q_argument(args.q)
-    cells = args.cells if args.cells is not None else int(
-        os.environ.get("SL_CELLS", sweep.DEFAULT_SWEEP_CELLS))
+    cells = _default_cells(args, sweep.DEFAULT_SWEEP_CELLS)
     fixed_arg = args.alpha if args.vary == "beta" else args.beta
     if fixed_arg is None:
         raise ConfigError("the non-varying boundary angle must be given "
@@ -224,8 +223,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cells = args.cells if args.cells is not None else int(
-        os.environ.get("SL_CELLS", batteries.DEFAULT_BATTERY_CELLS))
+    cells = _default_cells(args, batteries.DEFAULT_BATTERY_CELLS)
     potentials = None
     if args.q:
         q = parse_q_argument(args.q)
@@ -273,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "env SL_CELLS overrides)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=0,
-                       help="reserved; accepted for config compatibility")
 
     p = sub.add_parser("eigen", help="eigenvalue table over an index range")
     common(p)
@@ -317,8 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cells", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--seed", type=int, default=0,
-                   help="reserved; accepted for config compatibility")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -210,25 +210,6 @@ def canonical_zero_records(q: Potential, mu: float, bc, cells: int = DEFAULT_CEL
             for i, r in enumerate(records)]
 
 
-def count_interior_zeros(q: Potential, n: int, bc, cells: int = DEFAULT_CELLS) -> int:
-    """Number of zeros of the n-th eigenfunction strictly inside (0, pi).
-
-    Must equal n; a mismatch raises CountMismatch since it signals a solver
-    fault, not a user error.
-    """
-    from .errors import CountMismatch
-    from .spectrum import _locate_mu
-
-    mu = _locate_mu(q, n, bc.alpha, bc.beta, cells)
-    records = canonical_zero_records(q, mu, bc, cells, side="left")
-    interior = sum(1 for r in records if 0.0 < r.x < PI)
-    if interior != n:
-        raise CountMismatch(
-            f"expected {n} interior zeros, found {interior} (mu={mu})",
-            expected=n, found=interior)
-    return interior
-
-
 def velocity_records(q: Potential, mu: float, bc, cells: int = DEFAULT_CELLS,
                      side: str = "left") -> list[ZeroRecord]:
     """Zero records with the analytic dx/dmu filled in for every zero."""
@@ -267,23 +248,16 @@ def zero_velocity_psi(q: Potential, pair, k: int, cells: int = DEFAULT_CELLS) ->
     return _select_ordinal(records, k).velocity
 
 
-def proportionality_constant_at(q: Potential, mu: float, bc,
-                                cells: int = DEFAULT_CELLS) -> float:
-    """Ratio between the left- and right-launched eigenfunctions, evaluated
-    where the right-launched one is largest."""
-    phi = propagate(q, mu, left_conditions(bc.alpha), cells, variational=False)
-    psi = propagate(q, mu, right_conditions(bc.beta), cells, variational=False)
+def proportionality_constant_at(phi: SolutionTrajectory, psi: SolutionTrajectory) -> float:
+    """Ratio between the left-launched (phi) and right-launched (psi)
+    eigenfunctions, evaluated where psi is largest."""
     phi_vals = phi.true_states()[:, 0]
     psi_vals = psi.true_states()[:, 0]
     i = int(np.argmax(np.abs(psi_vals)))
     denom = psi_vals[i]
     if abs(denom) < 1e-12 * max(float(np.abs(psi_vals).max()), 1e-300):
-        raise DegenerateRatio(f"right-launched solution degenerate at mu={mu}")
+        raise DegenerateRatio(f"right-launched solution degenerate at mu={psi.mu}")
     return float(phi_vals[i] / denom)
-
-
-def proportionality_constant(q: Potential, pair, cells: int = DEFAULT_CELLS) -> float:
-    return proportionality_constant_at(q, pair.mu, pair.boundary, cells)
 
 
 def proportionality_residual(q: Potential, pair, cells: int = DEFAULT_CELLS):

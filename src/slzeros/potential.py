@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +58,15 @@ class Potential:
         object.__setattr__(self, "l1_norm", _l1_norm(self))
         if not math.isfinite(self.l1_norm):
             raise NonIntegrableExponent(f"L1 norm of {self.kind} potential is not finite")
+
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Breakpoints, values and the exact integral up to each breakpoint
+        of a table potential."""
+        xs = np.array([x for x, _ in self.points])
+        qs = np.array([v for _, v in self.points])
+        areas = 0.5 * (qs[:-1] + qs[1:]) * np.diff(xs)
+        return xs, qs, np.concatenate(([0.0], np.cumsum(areas)))
 
     @property
     def singular_at_origin(self) -> bool:
@@ -174,30 +184,13 @@ def _antiderivative(q: Potential, x: np.ndarray) -> np.ndarray:
         a, p = q.params
         return a * np.power(x, p + 1.0) / (p + 1.0)
     # table: piecewise-quadratic cumulative of the linear interpolant
-    xs, qs, cum = _table_arrays(q)
+    xs, qs, cum = q._table
     idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
     x0 = xs[idx]
     dx = x - x0
     seg = xs[idx + 1] - x0
     slope = (qs[idx + 1] - qs[idx]) / seg
     return cum[idx] + qs[idx] * dx + 0.5 * slope * dx * dx
-
-
-_TABLE_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _table_arrays(q: Potential):
-    key = q.points
-    hit = _TABLE_CACHE.get(key)
-    if hit is None:
-        xs = np.array([x for x, _ in q.points])
-        qs = np.array([v for _, v in q.points])
-        seg = np.diff(xs)
-        areas = 0.5 * (qs[:-1] + qs[1:]) * seg
-        cum = np.concatenate(([0.0], np.cumsum(areas)))
-        hit = (xs, qs, cum)
-        _TABLE_CACHE[key] = hit
-    return hit
 
 
 def integral(q: Potential, a: float, b: float) -> float:

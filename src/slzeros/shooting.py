@@ -105,10 +105,6 @@ class SolutionTrajectory:
     def ncomp(self) -> int:
         return self.states.shape[1]
 
-    @property
-    def launch_index(self) -> int:
-        return 0 if self.direction == _LEFT else len(self.mesh) - 1
-
     def cell_of(self, x: float) -> int:
         i = int(np.searchsorted(self.mesh, x, side="right") - 1)
         return min(max(i, 0), len(self.mesh) - 2)
@@ -408,17 +404,18 @@ def _visit_arrays(q: Potential, mu: float, ic: EndpointConditions, cells: int):
     return mesh, w, w[::-1], -widths[::-1]
 
 
-def _square_increments(states, w_visit, s_visit, direction):
-    """Per-cell integral of y**2 in each cell's launch-edge stored scale."""
+def _square_increments(starts, w_visit, s_visit, direction):
+    """Per-cell integral of y**2 from the cells' launch-edge states, in
+    each cell's launch-edge stored scale."""
     f = _cell_functions(w_visit, s_visit, variational=False, integrals=True)
-    y0 = states[:-1, 0]
-    yp0 = states[:-1, 1]
+    y0 = starts[:, 0]
+    yp0 = starts[:, 1]
     inc = y0 * y0 * f["intC2"] + 2.0 * y0 * yp0 * f["intCS"] + yp0 * yp0 * f["intS2"]
     return -inc if direction == _RIGHT else inc
 
 
 def _cum_square_true(states, sig_pts, w_visit, s_visit, direction):
-    inc = _square_increments(states, w_visit, s_visit, direction)
+    inc = _square_increments(states[:-1], w_visit, s_visit, direction)
     sig_start = sig_pts[:-1]
     smax = float(sig_start.max())
     with np.errstate(over="ignore", under="ignore"):
@@ -468,26 +465,11 @@ def terminal_phase(q: Potential, mu: float, ic: EndpointConditions,
     y0, yp0 = ic.initial_state()
     states, sig_pts = _propagate_states(w_visit, s_visit, np.array([y0, yp0]), False)
     theta = _phase_profile(states, w_visit, s_visit, math.atan2(y0, yp0))
-    inc = _square_increments(states, w_visit, s_visit, ic.side)
+    inc = _square_increments(states[:-1], w_visit, s_visit, ic.side)
     with np.errstate(over="ignore", under="ignore"):
         square = float(np.sum(inc * np.exp(2.0 * (sig_pts[:-1] - sig_pts[-1]))))
     return PhaseRecord(mu=mu, theta_terminal=float(theta[-1]), direction=ic.side,
                        y=float(states[-1, 0]), yp=float(states[-1, 1]), square=square)
-
-
-# the name under which the package exports terminal_phase
-phase_at_far_end = terminal_phase
-
-
-def phase_profile(q: Potential, mu: float, ic: EndpointConditions,
-                  cells: int = DEFAULT_CELLS) -> tuple[np.ndarray, np.ndarray]:
-    """(mesh positions in visit order, continuous phase there)."""
-    mesh, _, w_visit, s_visit = _visit_arrays(q, mu, ic, cells)
-    y0, yp0 = ic.initial_state()
-    states, _ = _propagate_states(w_visit, s_visit, np.array([y0, yp0]), False)
-    theta = _phase_profile(states, w_visit, s_visit, math.atan2(y0, yp0))
-    xs = mesh if ic.side == _LEFT else mesh[::-1]
-    return xs, theta
 
 
 # -- dense in-cell evaluation ----------------------------------------------------
@@ -519,12 +501,7 @@ def square_integral_from_launch(traj: SolutionTrajectory, x: float) -> float:
     edge, x_edge = _cell_frame(traj, i)
     s = np.array([x - x_edge])
     wv = np.array([traj.w[i]])
-    f = _cell_functions(wv, s, variational=False, integrals=True)
-    y0, yp0 = traj.states[edge, 0], traj.states[edge, 1]
-    part = float(y0 * y0 * f["intC2"][0] + 2.0 * y0 * yp0 * f["intCS"][0]
-                 + yp0 * yp0 * f["intS2"][0])
-    if traj.direction == _RIGHT:
-        part = -part
+    part = float(_square_increments(traj.states[edge:edge + 1], wv, s, traj.direction)[0])
     sig = float(traj.log_scale[edge])
     with np.errstate(over="ignore"):
         scale = math.exp(2.0 * sig) if sig != 0.0 else 1.0

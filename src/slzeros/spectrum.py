@@ -123,22 +123,12 @@ def characteristic(q: Potential, mu: float, bc: BoundaryParams,
                    cells: int = DEFAULT_CELLS) -> float:
     """Value whose zeros in mu are the eigenvalues:
     y(0)*cos(alpha) + y'(0)*sin(alpha) for the right-launched solution."""
-    value, log_scale = characteristic_with_scale(q, mu, bc, cells)
-    with np.errstate(over="ignore"):
-        return float(value * math.exp(log_scale)) if log_scale != 0.0 else value
-
-
-def characteristic_with_scale(q: Potential, mu: float, bc: BoundaryParams,
-                              cells: int = DEFAULT_CELLS) -> tuple[float, float]:
-    """(rescaled value, log scale): true value = value * exp(log_scale).
-
-    The sign and the zero set are unaffected by the scale, so root finding
-    can work on the rescaled value directly.
-    """
     traj = propagate(q, mu, right_conditions(bc.beta), cells, variational=False)
     y0, yp0 = traj.states[0]
-    value = y0 * math.cos(bc.alpha) + yp0 * math.sin(bc.alpha)
-    return float(value), float(traj.log_scale[0])
+    value = float(y0 * math.cos(bc.alpha) + yp0 * math.sin(bc.alpha))
+    log_scale = float(traj.log_scale[0])
+    with np.errstate(over="ignore"):
+        return float(value * math.exp(log_scale)) if log_scale != 0.0 else value
 
 
 def _characteristic_and_derivative(q, mu, bc, cells):
@@ -158,18 +148,27 @@ def _locate_mu(q: Potential, n: int, alpha: float, beta: float, cells: int) -> f
 
     lo = min_cell_average(q, cells) - 1.0
     hi = (n + 2) ** 2 + q.l1_norm + 1.0
-    th_lo = terminal_phase(q, lo, ic, cells).theta_terminal
-    th_hi = terminal_phase(q, hi, ic, cells).theta_terminal
+    scans = {}
+
+    def phase(m):
+        # one solve scans no mu twice: after a one-sided expansion the first
+        # Newton iterate is the probe the expansion replaced
+        if m not in scans:
+            scans[m] = terminal_phase(q, m, ic, cells)
+        return scans[m]
+
+    th_lo = phase(lo).theta_terminal
+    th_hi = phase(hi).theta_terminal
     for _ in range(_MAX_EXPANSIONS):
         if th_lo < target < th_hi:
             break
         width = hi - lo
         if th_lo >= target:
             lo -= width
-            th_lo = terminal_phase(q, lo, ic, cells).theta_terminal
+            th_lo = phase(lo).theta_terminal
         if th_hi <= target:
             hi += width
-            th_hi = terminal_phase(q, hi, ic, cells).theta_terminal
+            th_hi = phase(hi).theta_terminal
     else:
         if not (th_lo < target < th_hi):
             raise BracketFailure(
@@ -187,7 +186,7 @@ def _locate_mu(q: Potential, n: int, alpha: float, beta: float, cells: int) -> f
     mu = 0.5 * (lo + hi)
     last_step = hi - lo
     while hi - lo > _BRACKET_REL * max(1.0, abs(mu)):
-        rec = terminal_phase(q, mu, ic, cells)
+        rec = phase(mu)
         if rec.theta_terminal < target:
             lo = mu
         else:
@@ -225,43 +224,26 @@ def _locate_mu(q: Potential, n: int, alpha: float, beta: float, cells: int) -> f
     return float(mu)
 
 
-@lru_cache(maxsize=100_000)
-def _assemble_pair(q: Potential, n: int, alpha: float, beta: float, cells: int) -> Eigenpair:
+def find_eigenvalue(q: Potential, n: int, bc: BoundaryParams,
+                    cells: int = DEFAULT_CELLS) -> Eigenpair:
+    """Locate the n-th eigenvalue (increasing enumeration, n >= 0); raises
+    CountMismatch unless its eigenfunction has exactly n interior zeros."""
+    if n < 0:
+        raise DomainMismatch(f"eigenvalue index n={n} must be >= 0")
+    n, alpha, beta, cells = int(n), float(bc.alpha), float(bc.beta), int(cells)
     bc = BoundaryParams(alpha, beta)
     mu = _locate_mu(q, n, alpha, beta, cells)
-    records = oscillation.canonical_zero_records(q, mu, bc, cells, side="left")
+    phi = propagate(q, mu, left_conditions(alpha), cells, variational=False)
+    records = oscillation.canonical_zero_records(q, mu, bc, cells, side="left", traj=phi)
     interior = sum(1 for r in records if 0.0 < r.x < PI)
     if interior != n:
         raise CountMismatch(
             f"eigenfunction n={n} at mu={mu} has {interior} interior zeros",
             expected=n, found=interior)
-    c_n = oscillation.proportionality_constant_at(q, mu, bc, cells)
-    return Eigenpair(n=n, mu=mu, boundary=bc, c_n=c_n,
+    psi = propagate(q, mu, right_conditions(beta), cells, variational=False)
+    return Eigenpair(n=n, mu=mu, boundary=bc,
+                     c_n=oscillation.proportionality_constant_at(phi, psi),
                      zeros=tuple(r.x for r in records))
-
-
-def find_eigenvalue(q: Potential, n: int, bc: BoundaryParams,
-                    cells: int = DEFAULT_CELLS) -> Eigenpair:
-    """Locate the n-th eigenvalue (increasing enumeration, n >= 0)."""
-    if n < 0:
-        raise DomainMismatch(f"eigenvalue index n={n} must be >= 0")
-    return _assemble_pair(q, int(n), float(bc.alpha), float(bc.beta), int(cells))
-
-
-def eigenvalue_bracket(q: Potential, n: int, bc: BoundaryParams,
-                       cells: int = DEFAULT_CELLS) -> tuple[float, float]:
-    """Bracket of half-width 1e-12*max(1, |mu|) around the located n-th
-    eigenvalue, with both ends checked to straddle the phase target."""
-    mu = _locate_mu(q, n, bc.alpha, bc.beta, cells)
-    half = _BRACKET_REL * max(1.0, abs(mu))
-    lo, hi = mu - half, mu + half
-    ic = left_conditions(bc.alpha)
-    target = (n + 1) * PI - bc.beta
-    if not (terminal_phase(q, lo, ic, cells).theta_terminal < target
-            < terminal_phase(q, hi, ic, cells).theta_terminal):
-        raise BracketFailure(f"phase target for n={n} not straddled by [{lo}, {hi}]",
-                             lo=lo, hi=hi)
-    return lo, hi
 
 
 def evf(q: Potential, coords: EvfCoordinates, cells: int = DEFAULT_CELLS) -> float:

@@ -50,7 +50,6 @@ class SweepPlan:
     fixed_angle: float
     grid: tuple[float, ...]
     cells: int = DEFAULT_SWEEP_CELLS
-    refine_events: bool = True
 
     def __post_init__(self):
         if self.vary not in (VARY_BETA, VARY_ALPHA):
@@ -237,13 +236,11 @@ def _sweep_pass(plan: SweepPlan, angles: list[float]) -> SweepResult:
 def run_sweep(plan: SweepPlan) -> SweepResult:
     """Trace zero trajectories and the eigenvalue path over the plan's grid.
 
-    When events are detected and plan.refine_events is set, the grid is
-    densified once (x4) inside each event bracket and the sweep re-run, so
-    event brackets come out at the refined resolution.
+    When events are detected the grid is densified once (x4) inside each
+    event bracket and the sweep re-run, so event brackets come out at the
+    refined resolution.
     """
     result = _sweep_pass(plan, list(plan.grid))
-    if not plan.refine_events:
-        return result
     extra: list[float] = []
     for e in result.events:
         lo, hi = e["angle_lo"], e["angle_hi"]

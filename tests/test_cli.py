@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from slzeros import sweep
+from slzeros import batteries, sweep
 from slzeros.cli import main, parse_angle, parse_q_argument
 
 PI = math.pi
@@ -165,3 +165,32 @@ def test_env_cells_override(capsys, monkeypatch):
                             "--n", "0"], capsys)
     assert code == 0
     assert json.loads(out)["rows"][0]["mu"] == pytest.approx(1.0, rel=1e-9)
+
+
+def test_seed_flag_is_rejected():
+    with pytest.raises(SystemExit) as exc:
+        main(["eigen", "--q", "zero", "--alpha", "pi", "--beta", "0", "--seed", "1"])
+    assert exc.value.code == 2
+
+
+def test_env_cells_reaches_sweep_and_verify(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("SL_CELLS", "128")
+    seen = []
+
+    def fake_sweep(plan):
+        seen.append(plan.cells)
+        return sweep.SweepResult(trajectories=[], eigenvalue_path=[])
+
+    def fake_battery(name, matrix, potentials, cells):
+        seen.append(cells)
+        return batteries.BatteryReport(name)
+
+    monkeypatch.setattr(sweep, "run_sweep", fake_sweep)
+    monkeypatch.setattr(batteries, "run_battery", fake_battery)
+    code, _, _ = run_cli(["sweep", "--q", "zero", "--n", "1", "--vary", "beta",
+                          "--alpha", "pi", "--grid", "12", "--out", str(tmp_path / "s")],
+                         capsys)
+    assert code == 0
+    code, _, _ = run_cli(["verify", "--battery", "seam", "--q", "zero"], capsys)
+    assert code == 0
+    assert seen == [128, 128]

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from slzeros.errors import CountMismatch, IndexOutOfRange
 from slzeros.oscillation import (
     canonical_zero_records,
-    count_interior_zeros,
     find_zeros,
     identity_residual,
-    proportionality_constant,
     proportionality_residual,
     velocity_records,
     zero_velocity_phi,
@@ -59,9 +57,10 @@ def test_cosine_zero_count_matches_matrix_eigenvector(q_cos2x):
 
 
 def test_count_examples(q_zero, q_singular, q_step):
-    assert count_interior_zeros(q_zero, 4, DD, 512) == 4
-    assert count_interior_zeros(q_singular, 4, BoundaryParams(PI / 3, PI / 5), 512) == 4
-    assert count_interior_zeros(q_step, 0, BoundaryParams(PI / 2, PI / 2), 512) == 0
+    for q, n, bc in [(q_zero, 4, DD), (q_singular, 4, BoundaryParams(PI / 3, PI / 5)),
+                     (q_step, 0, BoundaryParams(PI / 2, PI / 2))]:
+        zeros = find_eigenvalue(q, n, bc, 512).zeros
+        assert sum(1 for x in zeros if 0.0 < x < PI) == n
 
 
 def test_slopes_are_simple(q_cos2x):
@@ -126,8 +125,8 @@ def test_velocity_index_out_of_range(q_zero):
 def test_proportionality_flat(q_zero):
     p0 = find_eigenvalue(q_zero, 0, DD, 512)
     p1 = find_eigenvalue(q_zero, 1, DD, 512)
-    assert proportionality_constant(q_zero, p0, 512) == pytest.approx(1.0, rel=1e-9)
-    assert proportionality_constant(q_zero, p1, 512) == pytest.approx(-1.0, rel=1e-9)
+    assert p0.c_n == pytest.approx(1.0, rel=1e-9)
+    assert p1.c_n == pytest.approx(-1.0, rel=1e-9)
 
 
 def test_proportionality_residual(q_cos2x):

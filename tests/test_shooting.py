@@ -10,11 +10,11 @@ from slzeros.errors import DomainMismatch, MeshTooCoarse, NonFinite
 from slzeros.shooting import (
     EndpointConditions,
     _cell_matrices,
+    _phase_profile,
     _propagate_states,
     _states_sequential,
+    _visit_arrays,
     left_conditions,
-    phase_at_far_end,
-    phase_profile,
     propagate,
     right_conditions,
     terminal_phase,
@@ -135,12 +135,17 @@ def test_phase_monotone_in_mu(q_step):
 
 
 def test_phase_record_and_profile(q_zero):
-    rec = phase_at_far_end(q_zero, 4.0, left_conditions(PI), 64)
+    ic = left_conditions(PI)
+    rec = terminal_phase(q_zero, 4.0, ic, 64)
     assert rec.direction == "left"
-    xs, theta = phase_profile(q_zero, 4.0, left_conditions(PI), 64)
+    assert rec.theta_terminal == pytest.approx(2 * PI, abs=1e-12)
+    _, _, w_visit, s_visit = _visit_arrays(q_zero, 4.0, ic, 64)
+    v0 = ic.initial_state()
+    states, _ = _propagate_states(w_visit, s_visit, np.array(v0), False)
+    theta = _phase_profile(states, w_visit, s_visit, math.atan2(*v0))
     # lifting never jumps by more than pi between mesh neighbours
     assert np.abs(np.diff(theta)).max() < PI
-    assert theta[-1] == pytest.approx(2 * PI, abs=1e-12)
+    assert theta[-1] == rec.theta_terminal
 
 
 def _phase_slope(rec):
@@ -188,11 +193,11 @@ def test_phase_matches_sign_structure(q_cos2x, mu, angle):
     # lifted phase completes
     ic = left_conditions(angle)
     traj = propagate(q_cos2x, mu, ic, 512, variational=False)
-    xs, theta = phase_profile(q_cos2x, mu, ic, 512)
+    theta_end = terminal_phase(q_cos2x, mu, ic, 512).theta_terminal
     y = traj.true_states()[:, 0]
     sign_changes = int(np.sum(y[:-1] * y[1:] < 0))
-    k0 = math.floor(theta[0] / PI)
-    crossings = math.floor(theta[-1] / PI) - k0
+    k0 = math.floor(math.atan2(*ic.initial_state()) / PI)
+    crossings = math.floor(theta_end / PI) - k0
     assert abs(crossings - sign_changes) <= 1
 
 

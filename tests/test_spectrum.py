@@ -13,8 +13,6 @@ from slzeros.spectrum import (
     EvfCoordinates,
     _characteristic_and_derivative,
     characteristic,
-    characteristic_with_scale,
-    eigenvalue_bracket,
     evf,
     evf_grid,
     find_eigenvalue,
@@ -24,6 +22,10 @@ from .oracles import dirichlet_matrix_eigenvalues, flat_eigenvalue
 
 PI = math.pi
 DD = BoundaryParams(PI, 0.0)
+
+
+def _interior(pair):
+    return sum(1 for x in pair.zeros if 0.0 < x < PI)
 
 
 def test_boundary_params_validation():
@@ -40,11 +42,6 @@ def test_characteristic_closed_forms(q_zero):
     assert characteristic(q_zero, 2.25, dn, 256) == pytest.approx(0.0, abs=1e-12)
     want = -math.sin(math.sqrt(2.0) * PI) / math.sqrt(2.0)
     assert characteristic(q_zero, 2.0, DD, 256) == pytest.approx(want, abs=1e-9)
-
-
-def test_characteristic_scale_is_zero_at_moderate_mu(q_zero):
-    _, logscale = characteristic_with_scale(q_zero, 2.0, DD, 256)
-    assert logscale == 0.0
 
 
 def test_flat_dirichlet_spectrum(q_zero):
@@ -88,16 +85,15 @@ def test_eigenvalue_ordering(q_step):
 
 def test_characteristic_changes_sign_across_bracket(q_cos2x):
     bc = BoundaryParams(2.0, 1.0)
+    ic = left_conditions(bc.alpha)
     for n in range(5):
-        lo, hi = eigenvalue_bracket(q_cos2x, n, bc, 512)
+        mu = find_eigenvalue(q_cos2x, n, bc, 512).mu
+        half = 1e-12 * max(1.0, abs(mu))
+        lo, hi = mu - half, mu + half
         assert characteristic(q_cos2x, lo, bc, 512) * characteristic(q_cos2x, hi, bc, 512) < 0
-
-
-def test_newton_stays_inside_bracket(q_cos2x):
-    bc = BoundaryParams(2.0, 1.0)
-    pair = find_eigenvalue(q_cos2x, 3, bc, 512)
-    lo, hi = eigenvalue_bracket(q_cos2x, 3, bc, 512)
-    assert lo <= pair.mu <= hi
+        target = (n + 1) * PI - bc.beta
+        assert (terminal_phase(q_cos2x, lo, ic, 512).theta_terminal < target
+                < terminal_phase(q_cos2x, hi, ic, 512).theta_terminal)
 
 
 # -- the Newton search against the bisection it replaced ----------------------
@@ -187,6 +183,21 @@ def test_newton_phase_evaluations(newton_solves):
     assert max(evals) <= 30
 
 
+def test_expanded_bracket_scans_no_mu_twice(q_step, monkeypatch):
+    # the probe at mu = -1 is replaced by a downward expansion and is the
+    # midpoint of the expanded range: Newton starts from that scan, not a new one
+    scanned = []
+
+    def counted(q, mu, ic, cells):
+        scanned.append(mu)
+        return terminal_phase(q, mu, ic, cells)
+
+    monkeypatch.setattr(spectrum, "terminal_phase", counted)
+    spectrum._locate_mu.__wrapped__(q_step, 0, 0.6, 2.5, 1024)
+    assert -1.0 in scanned
+    assert len(scanned) == len(set(scanned))
+
+
 def test_bracket_failure_for_extreme_boundary(q_zero):
     # alpha near 0 puts the ground state around -cot(alpha)**2 ~ -1e18,
     # far outside any probe expansion
@@ -258,8 +269,7 @@ def test_table_potential_tracks_smooth_counterpart(q_cos2x):
     mu_tab = find_eigenvalue(qtab, 0, DD, 1024).mu
     mu_smooth = find_eigenvalue(q_cos2x, 0, DD, 1024).mu
     assert mu_tab == pytest.approx(mu_smooth, abs=1e-3)
-    from slzeros.oscillation import count_interior_zeros
-    assert count_interior_zeros(qtab, 3, DD, 1024) == 3
+    assert _interior(find_eigenvalue(qtab, 3, DD, 1024)) == 3
 
 
 def test_reflection_symmetry_of_symmetric_potential(q_cos2x):
@@ -274,18 +284,14 @@ def test_reflection_symmetry_of_symmetric_potential(q_cos2x):
 def test_attractive_singularity_full_pipeline():
     # negative-amplitude integrable singularity: ground state goes negative,
     # counts, velocity signs, and identities must all still hold
-    from slzeros.oscillation import (
-        count_interior_zeros,
-        identity_residual,
-        velocity_records,
-    )
+    from slzeros.oscillation import identity_residual, velocity_records
     from slzeros.shooting import left_conditions, propagate
 
     q = potential.power(-5.0, -0.5)
     pair = find_eigenvalue(q, 0, DD, 2048)
     assert pair.mu < 0.0
     for n in (0, 3):
-        assert count_interior_zeros(q, n, DD, 2048) == n
+        assert _interior(find_eigenvalue(q, n, DD, 2048)) == n
     bc = BoundaryParams(2.8, 0.4)
     pair = find_eigenvalue(q, 2, bc, 2048)
     assert all(r.velocity < 0 for r in velocity_records(q, pair.mu, bc, 2048, "left"))
