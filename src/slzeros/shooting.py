@@ -15,11 +15,16 @@ y(0) = sin(alpha), y'(0) = -cos(alpha) on the left and
 y(pi) = sin(beta), y'(pi) = -cos(beta) on the right, with zero initial data
 for the mu-derivative components in both cases.
 
-Cell-to-cell products are accumulated with a blocked prefix-product kernel
-(vectorised across blocks) plus running log-scale factors, so deep
-hyperbolic probes during eigenvalue bracketing cannot overflow.  A slower
-sequential fallback with identical semantics covers the rare regime where
-the fast kernel would lose the decaying solution to cancellation.
+Cell-to-cell products are accumulated by a struct-of-arrays blocked scan.
+The cells are cut into blocks of about sqrt(n)/2; every entry of the
+running 2x2 product, or of the M and D blocks of the variational product
+[[M, 0], [D, M]], is a separate array with one lane per block, so each
+in-block step is a few elementwise operations across all blocks at once.
+The prefix entering each block is carried from block to block in Python
+floats with running log-scale factors, so deep hyperbolic probes during
+eigenvalue bracketing cannot overflow.  A slower sequential fallback with
+identical semantics covers the rare regime where the scan would lose the
+decaying solution to cancellation.
 """
 
 from __future__ import annotations
@@ -115,9 +120,6 @@ class SolutionTrajectory:
         with np.errstate(over="ignore"):
             return stored * math.exp(sig) if sig != 0.0 else stored
 
-    def y(self, x: float) -> float:
-        return float(self.value(x)[0])
-
     def true_states(self) -> np.ndarray:
         with np.errstate(over="ignore"):
             return self.states * np.exp(self.log_scale)[:, None]
@@ -197,29 +199,29 @@ def _cell_functions(w: np.ndarray, s: np.ndarray, variational: bool, integrals: 
     overflow = (~pos) & (u > 700.0)
     if np.any(overflow):
         raise NonFinite("hyperbolic cell update overflows", cell_index=int(np.argmax(overflow)))
-    c = np.empty_like(z)
-    c[pos] = np.cos(u[pos])
-    c[~pos] = np.cosh(u[~pos])
-    small = np.abs(z) < _ZCUT
-    circ = np.empty_like(z)
-    circ[pos] = np.sin(u[pos])
-    circ[~pos] = np.sinh(u[~pos])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sf_closed = circ / np.where(u == 0.0, 1.0, u)
-    sf = np.where(small, _sf_series(z), sf_closed)
+    c = np.cos(u)
+    neg = ~pos
+    c[neg] = np.cosh(u[neg])
+    # the closed forms divide by u or z, so they are evaluated only outside
+    # the series window
+    big = np.flatnonzero(np.abs(z) >= _ZCUT)
+    ub, zb, cb = u[big], z[big], c[big]
+    with np.errstate(over="ignore"):
+        circ = np.where(pos[big], np.sin(ub), np.sinh(ub))
+    sf = _sf_series(z)
+    sf[big] = circ / ub
+    sfb = sf[big]
     S = s * sf
     out = {"c": c, "S": S, "sf": sf}
     if variational:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            g_closed = (sf - c) / np.where(z == 0.0, 1.0, z)
-        g = np.where(small, _g_series(z), g_closed)
+        g = _g_series(z)
+        g[big] = (sfb - cb) / zb
         out["IC"] = 0.5 * s * S
         out["IS"] = 0.5 * s ** 3 * g
         out["JC"] = 0.5 * s * (c + sf)
     if integrals:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            k_closed = (1.0 - sf * c) / np.where(z == 0.0, 1.0, z)
-        kk = np.where(small, _k_series(z), k_closed)
+        kk = _k_series(z)
+        kk[big] = (1.0 - sfb * cb) / zb
         out["intC2"] = 0.5 * s * (1.0 + sf * c)
         out["intCS"] = 0.5 * S * S
         out["intS2"] = 0.5 * s ** 3 * kk
@@ -247,53 +249,91 @@ def _cell_matrices(w: np.ndarray, s: np.ndarray, variational: bool) -> np.ndarra
 
 # -- prefix products -----------------------------------------------------------
 
-def _prefix_products(mats: np.ndarray, max_cell_log: float):
-    """Running products M_i ... M_0 with per-block log rescaling.
-
-    Returns (P, sig) with true prefix = P[i] * exp(sig[i]).
-    """
-    n, k, _ = mats.shape
-    block = min(64, n)
+def _block_size(n: int, max_cell_log: float) -> int:
+    """Cells per block: about sqrt(n)/2 balances the vectorised in-block
+    steps against the per-block carry, and 300 / max_cell_log caps the
+    growth of any in-block product far below overflow."""
+    block = min(n, max(8, math.isqrt(n) // 2))
     if max_cell_log > 1e-9:
         block = max(1, min(block, int(300.0 / max_cell_log)))
-    nblocks = -(-n // block)
-    npad = nblocks * block
-    if npad > n:
-        pad = np.broadcast_to(np.eye(k), (npad - n, k, k))
-        mats = np.concatenate([mats, pad])
-    mb = mats.reshape(nblocks, block, k, k)
-    WW = np.empty_like(mb)
-    WW[:, 0] = mb[:, 0]
-    for j in range(1, block):
-        np.matmul(mb[:, j], WW[:, j - 1], out=WW[:, j])
-    G = np.empty((nblocks, k, k))
-    gs = np.empty(nblocks)
-    acc = np.eye(k)
+    return block
+
+
+def _cell_entries(f, w, parts: int, block: int, nblocks: int) -> np.ndarray:
+    """Cell matrix entries as lanes over the blocks: E[j, e, b] is entry e
+    of cell j of block b.
+
+    The entry order serves the in-block step: e = 0-1 is the column
+    (c, -wS) that multiplies the top row of the running product, e = 2-3
+    the column (S, c) that multiplies its bottom row; with parts == 2,
+    e = 4-7 hold the columns (-IC, -JC) and (-IS, -IC) of the D block of
+    [[M, 0], [D, M]].  Padding cells past the last one are the identity.
+    """
+    n = len(w)
+    c, S = f["c"], f["S"]
+    lanes = [c, -w * S, S, c]
+    if parts == 2:
+        lanes += [-f["IC"], -f["JC"], -f["IS"], -f["IC"]]
+    flat = np.zeros((len(lanes), nblocks * block))
+    for row, lane in zip(flat, lanes):
+        row[:n] = lane
+    flat[[0, 3], n:] = 1.0
+    return flat.reshape(len(lanes), nblocks, block).transpose(2, 0, 1).copy()
+
+
+def _rescaled(acc, b: int, block: int):
+    """acc divided by its largest entry m, and log(m); the carry calls this
+    only when m leaves [1e-100, 1e100], so log scales stay identically zero
+    in ordinary runs."""
+    m = max(map(abs, acc))
+    if not math.isfinite(m) or m == 0.0:
+        raise NonFinite("prefix product degenerated", cell_index=b * block)
+    return tuple(a / m for a in acc), math.log(m)
+
+
+def _block_carry(last, block: int, parts: int):
+    """Full prefix entering each block, carried in Python floats.
+
+    last holds each block's complete in-block product, one row of entries
+    (M00, M01, [D00, D01,] M10, M11, [D10, D11]) per block.  Returns the
+    prefix before every block in the same layout, one row per block, and
+    its log scale.
+    """
+    before = []
+    logs = []
     logsum = 0.0
-    for b in range(nblocks):
-        acc = WW[b, -1] @ acc
-        m = float(np.abs(acc).max())
-        if not math.isfinite(m) or m == 0.0:
-            raise NonFinite("prefix product degenerated", cell_index=b * block)
-        # rescale only when magnitudes threaten the floating-point range, so
-        # log scales stay identically zero in ordinary runs
-        if m > 1e100 or m < 1e-100:
-            acc = acc / m
-            logsum += math.log(m)
-        G[b] = acc
-        gs[b] = logsum
-    P = np.empty_like(WW)
-    sig = np.empty((nblocks, block))
-    P[0] = WW[0]
-    sig[0] = 0.0
-    if nblocks > 1:
-        np.matmul(WW[1:], G[:-1, None], out=P[1:])
-        sig[1:] = gs[:-1, None]
-    return P.reshape(npad, k, k)[:n], sig.reshape(npad)[:n]
+    if parts == 1:
+        a00, a01, a10, a11 = 1.0, 0.0, 0.0, 1.0
+        for b, (w00, w01, w10, w11) in enumerate(last):
+            before += (a00, a01, a10, a11)
+            logs.append(logsum)
+            a00, a01, a10, a11 = (w00 * a00 + w01 * a10, w00 * a01 + w01 * a11,
+                                  w10 * a00 + w11 * a10, w10 * a01 + w11 * a11)
+            if not 1e-100 <= max(abs(a00), abs(a01), abs(a10), abs(a11)) <= 1e100:
+                (a00, a01, a10, a11), lg = _rescaled((a00, a01, a10, a11), b, block)
+                logsum += lg
+    else:
+        a00, a01, d00, d01, a10, a11, d10, d11 = 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0
+        for b, (w00, w01, v00, v01, w10, w11, v10, v11) in enumerate(last):
+            before += (a00, a01, d00, d01, a10, a11, d10, d11)
+            logs.append(logsum)
+            a00, a01, d00, d01, a10, a11, d10, d11 = (
+                w00 * a00 + w01 * a10, w00 * a01 + w01 * a11,
+                v00 * a00 + v01 * a10 + w00 * d00 + w01 * d10,
+                v00 * a01 + v01 * a11 + w00 * d01 + w01 * d11,
+                w10 * a00 + w11 * a10, w10 * a01 + w11 * a11,
+                v10 * a00 + v11 * a10 + w10 * d00 + w11 * d10,
+                v10 * a01 + v11 * a11 + w10 * d01 + w11 * d11)
+            if not 1e-100 <= max(abs(a00), abs(a01), abs(d00), abs(d01),
+                                 abs(a10), abs(a11), abs(d10), abs(d11)) <= 1e100:
+                (a00, a01, d00, d01, a10, a11, d10, d11), lg = _rescaled(
+                    (a00, a01, d00, d01, a10, a11, d10, d11), b, block)
+                logsum += lg
+    return np.fromiter(before, float, len(before)).reshape(len(logs), -1), np.array(logs)
 
 
-def _normalize_points(states, sig_pts):
-    m = np.abs(states).max(axis=1)
+def _normalize_points(states, sig_pts, m):
+    """Rescale the states whose largest entry m leaves [1e-100, 1e100]."""
     need = (m > 1e100) | ((m < 1e-100) & (m > 0.0))
     if np.any(need):
         scale = np.where(need, m, 1.0)
@@ -302,21 +342,70 @@ def _normalize_points(states, sig_pts):
     return states, sig_pts
 
 
-def _states_from_prefix(P, sig, v0):
-    n = len(P)
+def _scan(f, w, s, v0):
+    """Struct-of-arrays blocked prefix scan of the cell matrices.
+
+    The running products of [[M, 0], [D, M]] keep that form, so a plain
+    scan carries the 4 entries of M and a variational one the 8 entries of
+    M and D, each as a lane over the blocks: array WW[j, r, p, k, b] is
+    entry (r, k) of part p (M or D) of the product of the first j + 1 cells
+    of block b.  The full prefix entering each block is carried in Python
+    floats with log rescaling (_block_carry), and P = WW G_prev is formed
+    entry by entry.  Returns the states, their log scales, their largest
+    entries, and whether the scan kept the decaying solution: a stored
+    state far smaller than its prefix means the launch data sit near the
+    decaying hyperbolic direction and the product lost it to roundoff.
+    """
+    n = len(w)
     k = len(v0)
+    parts = k // 2
+    max_cell_log = float(np.max(np.abs(s) * np.sqrt(np.maximum(-w, 0.0))))
+    block = _block_size(n, max_cell_log)
+    nblocks = -(-n // block)
+    E = _cell_entries(f, w, parts, block, nblocks)
+    top = E[:, 0:2, None, None]
+    bot = E[:, 2:4, None, None]
+    WW = np.empty((block, 2, parts, 2, nblocks))
+    prev = np.zeros((2, parts, 2, nblocks))
+    prev[0, 0, 0] = prev[1, 0, 1] = 1.0
+    tmp = np.empty_like(prev)
+    tmp_d = np.empty((2, 2, nblocks))
+    for j in range(block):
+        cur = WW[j]
+        np.multiply(prev[0], top[j], out=cur)
+        np.multiply(prev[1], bot[j], out=tmp)
+        cur += tmp
+        if parts == 2:
+            # the D block of a product also takes D_j times the running M
+            d = cur[:, 1]
+            np.multiply(prev[0, 0], E[j, 4:6, None], out=tmp_d)
+            d += tmp_d
+            np.multiply(prev[1, 0], E[j, 6:8, None], out=tmp_d)
+            d += tmp_d
+        prev = cur
+    G, gs = _block_carry(WW[-1].reshape(4 * parts, nblocks).T.tolist(), block, parts)
+    G = G.T.reshape(2, parts, 2, nblocks).copy()
+    P = WW[:, :, :, 0, None] * G[0, 0]
+    P += WW[:, :, :, 1, None] * G[1, 0]
+    if parts == 2:
+        P[:, :, 1] += WW[:, :, 0, 0, None] * G[0, 1]
+        P[:, :, 1] += WW[:, :, 0, 1, None] * G[1, 1]
+    vals = P[:, :, :, 0] * v0[0] + P[:, :, :, 1] * v0[1]
+    if parts == 2:
+        vals[:, :, 1] += P[:, :, 0, 0] * v0[2] + P[:, :, 0, 1] * v0[3]
+    pmax = np.abs(P).reshape(block, 4 * parts, nblocks).max(axis=1)
+    vmax = np.abs(vals).reshape(block, k, nblocks).max(axis=1)
+    healthy = bool((vmax / (pmax * max(float(np.abs(v0).max()), 1e-300))).min() > 1e-12)
     states = np.empty((n + 1, k))
     states[0] = v0
-    states[1:] = P @ v0
-    sig_pts = np.concatenate(([0.0], sig))
-    # cancellation detector: a stored state far smaller than the prefix norm
-    # means the launch data sit near the decaying hyperbolic direction and
-    # the product lost it to roundoff
-    pnorm = np.abs(P).max(axis=(1, 2)) * max(float(np.abs(v0).max()), 1e-300)
-    ratio = np.abs(states[1:]).max(axis=1) / pnorm
-    healthy = bool(ratio.min() > 1e-12)
-    states, sig_pts = _normalize_points(states, sig_pts)
-    return states, sig_pts, healthy
+    states[1:] = vals.transpose(3, 0, 2, 1).reshape(nblocks * block, k)[:n]
+    sig_pts = np.empty(n + 1)
+    sig_pts[0] = 0.0
+    sig_pts[1:] = np.repeat(gs, block)[:n]
+    m = np.empty(n + 1)
+    m[0] = float(np.abs(v0).max())
+    m[1:] = vmax.T.reshape(-1)[:n]
+    return states, sig_pts, m, healthy
 
 
 def _states_sequential(mats, v0):
@@ -338,17 +427,20 @@ def _states_sequential(mats, v0):
             logs += math.log(m)
         states[i + 1] = v
         sig_pts[i + 1] = logs
-    return _normalize_points(states, sig_pts)
+    return _normalize_points(states, sig_pts, np.abs(states).max(axis=1))
 
 
-def _propagate_states(w_visit, s_visit, v0, variational):
-    max_cell_log = float(np.max(np.abs(s_visit) * np.sqrt(np.maximum(-w_visit, 0.0))))
-    mats = _cell_matrices(w_visit, s_visit, variational)
-    P, sig = _prefix_products(mats, max_cell_log)
-    states, sig_pts, healthy = _states_from_prefix(P, sig, v0)
-    if not healthy:
+def _propagate_states(f, w_visit, s_visit, v0):
+    """States at the mesh points in visit order from launch data v0, with
+    (y, y') or (y, y', dy/dmu, dy'/dmu) by the length of v0; f holds the
+    cell functions of (w_visit, s_visit)."""
+    states, sig_pts, m, healthy = _scan(f, w_visit, s_visit, v0)
+    if healthy:
+        states, sig_pts = _normalize_points(states, sig_pts, m)
+    else:
         # launch data nearly parallel to the decaying hyperbolic direction:
         # prefix products cancel catastrophically, so step cell by cell.
+        mats = _cell_matrices(w_visit, s_visit, len(v0) == 4)
         states, sig_pts = _states_sequential(mats, v0)
     if not np.all(np.isfinite(states)):
         bad = int(np.argmax(~np.isfinite(states).all(axis=1)))
@@ -357,11 +449,6 @@ def _propagate_states(w_visit, s_visit, v0, variational):
 
 
 # -- continuous phase ----------------------------------------------------------
-
-def _cmod(x):
-    """Residual of an angle centred on the nearest multiple of pi, in [-pi/2, pi/2)."""
-    return np.mod(x + 0.5 * np.pi, np.pi) - 0.5 * np.pi
-
 
 def _phase_profile(states, w_visit, s_visit, launch_angle_raw):
     """Continuous lifting of atan2(y, y') along the visit order.
@@ -374,20 +461,21 @@ def _phase_profile(states, w_visit, s_visit, launch_angle_raw):
     y = states[:, 0]
     yp = states[:, 1]
     ang = np.arctan2(y, yp)
-    u = _cmod(ang)
+    # the half-turn of each angle, leaving a residual u in [-pi/2, pi/2)
+    turn = np.pi * np.floor(ang / np.pi + 0.5)
+    u = ang - turn
     delta = ang[1:] - ang[:-1]
     delta -= 2.0 * np.pi * np.round(delta / (2.0 * np.pi))
     trig = w_visit > 0.0
     if np.any(trig):
-        sqw = np.sqrt(w_visit[trig])
+        sqw = np.sqrt(np.maximum(w_visit, 0.0))
         # reduce the scaled angles by the half-turn of the unscaled ones they
         # share: reduced apart, a state with y' ~ 0 can wrap one and not the
         # other, and the terminal phase then jumps by pi
-        turn = ang - u
-        vs = np.arctan2(y[:-1][trig] * sqw, yp[:-1][trig]) - turn[:-1][trig]
-        ve = np.arctan2(y[1:][trig] * sqw, yp[1:][trig]) - turn[1:][trig]
-        rot = sqw * s_visit[trig]
-        delta[trig] = np.pi * np.round((vs + rot - ve) / np.pi) + (u[1:][trig] - u[:-1][trig])
+        vs = np.arctan2(y[:-1] * sqw, yp[:-1]) - turn[:-1]
+        ve = np.arctan2(y[1:] * sqw, yp[1:]) - turn[1:]
+        rot = sqw * s_visit
+        delta = np.where(trig, np.pi * np.round((vs + rot - ve) / np.pi) + (u[1:] - u[:-1]), delta)
     theta = np.empty(len(states))
     theta[0] = launch_angle_raw
     theta[1:] = launch_angle_raw + np.cumsum(delta)
@@ -404,18 +492,17 @@ def _visit_arrays(q: Potential, mu: float, ic: EndpointConditions, cells: int):
     return mesh, w, w[::-1], -widths[::-1]
 
 
-def _square_increments(starts, w_visit, s_visit, direction):
+def _square_increments(starts, f, direction):
     """Per-cell integral of y**2 from the cells' launch-edge states, in
-    each cell's launch-edge stored scale."""
-    f = _cell_functions(w_visit, s_visit, variational=False, integrals=True)
+    each cell's launch-edge stored scale; f holds the cells' integrals."""
     y0 = starts[:, 0]
     yp0 = starts[:, 1]
     inc = y0 * y0 * f["intC2"] + 2.0 * y0 * yp0 * f["intCS"] + yp0 * yp0 * f["intS2"]
     return -inc if direction == _RIGHT else inc
 
 
-def _cum_square_true(states, sig_pts, w_visit, s_visit, direction):
-    inc = _square_increments(states[:-1], w_visit, s_visit, direction)
+def _cum_square_true(states, sig_pts, f, direction):
+    inc = _square_increments(states[:-1], f, direction)
     sig_start = sig_pts[:-1]
     smax = float(sig_start.max())
     with np.errstate(over="ignore", under="ignore"):
@@ -443,8 +530,9 @@ def propagate(q: Potential, mu: float, ic: EndpointConditions,
     mesh, w, w_visit, s_visit = _visit_arrays(q, mu, ic, cells)
     y0, yp0 = ic.initial_state()
     v0 = (y0, yp0, 0.0, 0.0) if variational else (y0, yp0)
-    states, sig_pts = _propagate_states(w_visit, s_visit, np.array(v0), variational)
-    cum = _cum_square_true(states, sig_pts, w_visit, s_visit, ic.side) if variational else None
+    f = _cell_functions(w_visit, s_visit, variational, integrals=variational)
+    states, sig_pts = _propagate_states(f, w_visit, s_visit, np.array(v0))
+    cum = _cum_square_true(states, sig_pts, f, ic.side) if variational else None
     if ic.side == _RIGHT:
         states = states[::-1].copy()
         sig_pts = sig_pts[::-1].copy()
@@ -463,9 +551,10 @@ def terminal_phase(q: Potential, mu: float, ic: EndpointConditions,
     mu = float(mu)
     _, _, w_visit, s_visit = _visit_arrays(q, mu, ic, cells)
     y0, yp0 = ic.initial_state()
-    states, sig_pts = _propagate_states(w_visit, s_visit, np.array([y0, yp0]), False)
+    f = _cell_functions(w_visit, s_visit, variational=False, integrals=True)
+    states, sig_pts = _propagate_states(f, w_visit, s_visit, np.array([y0, yp0]))
     theta = _phase_profile(states, w_visit, s_visit, math.atan2(y0, yp0))
-    inc = _square_increments(states[:-1], w_visit, s_visit, ic.side)
+    inc = _square_increments(states[:-1], f, ic.side)
     with np.errstate(over="ignore", under="ignore"):
         square = float(np.sum(inc * np.exp(2.0 * (sig_pts[:-1] - sig_pts[-1]))))
     return PhaseRecord(mu=mu, theta_terminal=float(theta[-1]), direction=ic.side,
@@ -501,7 +590,8 @@ def square_integral_from_launch(traj: SolutionTrajectory, x: float) -> float:
     edge, x_edge = _cell_frame(traj, i)
     s = np.array([x - x_edge])
     wv = np.array([traj.w[i]])
-    part = float(_square_increments(traj.states[edge:edge + 1], wv, s, traj.direction)[0])
+    f = _cell_functions(wv, s, variational=False, integrals=True)
+    part = float(_square_increments(traj.states[edge:edge + 1], f, traj.direction)[0])
     sig = float(traj.log_scale[edge])
     with np.errstate(over="ignore"):
         scale = math.exp(2.0 * sig) if sig != 0.0 else 1.0

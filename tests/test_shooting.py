@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 
 from slzeros import potential
 from slzeros.errors import DomainMismatch, MeshTooCoarse, NonFinite
+from slzeros import shooting
 from slzeros.shooting import (
     EndpointConditions,
+    _cell_functions,
     _cell_matrices,
     _phase_profile,
     _propagate_states,
+    _scan,
     _states_sequential,
     _visit_arrays,
     left_conditions,
@@ -141,7 +144,8 @@ def test_phase_record_and_profile(q_zero):
     assert rec.theta_terminal == pytest.approx(2 * PI, abs=1e-12)
     _, _, w_visit, s_visit = _visit_arrays(q_zero, 4.0, ic, 64)
     v0 = ic.initial_state()
-    states, _ = _propagate_states(w_visit, s_visit, np.array(v0), False)
+    f = _cell_functions(w_visit, s_visit, False, False)
+    states, _ = _propagate_states(f, w_visit, s_visit, np.array(v0))
     theta = _phase_profile(states, w_visit, s_visit, math.atan2(*v0))
     # lifting never jumps by more than pi between mesh neighbours
     assert np.abs(np.diff(theta)).max() < PI
@@ -213,22 +217,71 @@ def test_refinement_convergence_second_order(q_cos2x):
         assert 3.0 < e0 / e1 < 5.0
 
 
-def test_scan_matches_sequential_reference(q_step):
-    mesh_w = np.diff(np.linspace(0.0, PI, 301))
-    w = 7.0 - np.linspace(-3, 9, 300)
-    v0 = np.array([0.5, -0.8])
-    fast, sig_f = _propagate_states(w, mesh_w, v0, variational=False)
-    mats = _cell_matrices(w, mesh_w, False)
-    slow, sig_s = _states_sequential(mats, v0)
-    with np.errstate(over="ignore"):
-        a = fast * np.exp(sig_f)[:, None]
-        b = slow * np.exp(sig_s)[:, None]
-    assert np.abs(a - b).max() < 1e-10 * np.abs(b).max()
+def _scan_cases(q_cos2x, q_zero, q_singular):
+    """(label, w, s) runs for the scan: the visit arrays of a launch, or
+    hand-made cells."""
+    def visit(q, mu, ic, cells):
+        _, _, w, s = _visit_arrays(q, mu, ic, cells)
+        return w, s
+
+    yield "mixed, 300 cells (padded blocks)", 7.0 - np.linspace(-3, 9, 300), \
+        np.diff(np.linspace(0.0, PI, 301))
+    yield "trigonometric", *visit(q_cos2x, 50.0, left_conditions(2.0), 4096)
+    yield "right launch", *visit(q_cos2x, 7.0, right_conditions(1.0), 1000)
+    yield "log scales", *visit(q_zero, -9000.0, left_conditions(PI), 4096)
+    yield "x^-0.5 refined mesh", *visit(q_singular, 20.0, left_conditions(1.2), 2048)
+    yield "fewer cells than the smallest block", np.array([3.0, -2.0, 5.0, 0.0, 1.0]), \
+        np.full(5, 0.3)
+    # sqrt(1e6) * 0.2 = 200 per cell, so 300 / max_cell_log allows one cell a block
+    yield "block of one", np.full(20, -1e6), np.full(20, 0.2)
+
+
+def test_scan_matches_sequential_reference(q_cos2x, q_zero, q_singular):
+    # the blocked struct-of-arrays scan against one-cell-at-a-time products of
+    # the (n, k, k) cell matrices, plain and variational, state by state in
+    # the true scale
+    for label, w, s in _scan_cases(q_cos2x, q_zero, q_singular):
+        for v0 in (np.array([0.5, -0.8]), np.array([0.5, -0.8, 0.3, -0.1])):
+            variational = len(v0) == 4
+            f = _cell_functions(w, s, variational, False)
+            assert _scan(f, w, s, v0)[3], label  # the scan itself, not the fallback
+            fast, sig_f = _propagate_states(f, w, s, v0)
+            slow, sig_s = _states_sequential(_cell_matrices(w, s, variational), v0)
+            a = fast * np.exp(sig_f - sig_s)[:, None]
+            err = np.abs(a - slow).max(axis=1) / np.abs(slow).max(axis=1)
+            assert err.max() < 1e-10, (label, variational)
+            if label in ("log scales", "block of one"):
+                assert sig_f[-1] > 200.0
+
+
+@pytest.mark.parametrize("mu,cells,theta", [(-40.0, 2048, 3.2935962934962575),
+                                            (-4000.0, 64, 3.15740272447255)])
+def test_cancellation_detector_falls_back(q_zero, monkeypatch, mu, cells, theta):
+    # launch data exactly on the decaying direction exp(-sqrt(-mu) x): the
+    # blocked products lose it to roundoff, and the detector hands plain
+    # scans to the sequential reference; the variational scan keeps it.
+    # theta is pinned to a relative 1e-13, not bit for bit: numpy may pick
+    # a different SIMD cos/sin/cosh/arctan2 on another CPU
+    calls = []
+    sequential = shooting._states_sequential
+
+    def counting(mats, v0):
+        calls.append(len(v0))
+        return sequential(mats, v0)
+
+    monkeypatch.setattr(shooting, "_states_sequential", counting)
+    ic = left_conditions(math.atan(1.0 / math.sqrt(-mu)))
+    propagate(q_zero, mu, ic, cells, variational=False)
+    assert calls == [2]
+    assert terminal_phase(q_zero, mu, ic, cells).theta_terminal == pytest.approx(theta, rel=1e-13)
+    assert calls == [2, 2]
+    propagate(q_zero, mu, ic, cells, variational=True)
+    assert calls == [2, 2]
 
 
 def test_deep_hyperbolic_probe_no_overflow(q_zero):
-    # the launch direction decays for this combination; the fallback path
-    # must keep the phase finite and small
+    # the launch direction sits near the decaying one without the detector
+    # firing; the block carry's log rescaling keeps the phase finite and small
     th = terminal_phase(q_zero, -4000.0, left_conditions(PI / 4 + 1e-3), 64).theta_terminal
     assert math.isfinite(th)
     assert 0.0 < th < PI
