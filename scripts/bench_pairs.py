@@ -14,7 +14,12 @@ BENCHMARK.json gives each metric; ties count for neither side), whether the
 medians differ by more than the distance between the parent's quartiles,
 the machine (nproc, the Python and numpy versions) and, for each side, the
 git commit, whether its tree differs from that commit, and a sha256 over
-the files under src/.  Each --trace-seed adds one traced pair (--trace 1)
+the files under src/.  Each run also keeps its rounds and its failed share
+(failed / attempted), and each workload counts the pairs in which the
+change failed a larger share than the parent and, per side, the runs whose
+checks failed (correct: false) and the runs that exited non-zero; such a
+run is kept with its exit code and the tail of its stderr, and the
+comparison goes on.  Each --trace-seed adds one traced pair (--trace 1)
 per workload, whose per-layer metrics are stored with the per-call self
 time of every layer that reports calls.  The file is rewritten after every
 run, so an interrupted comparison keeps what it measured.
@@ -65,16 +70,22 @@ def describe(root: Path) -> dict:
 
 
 def run_once(root: Path, workload: str, seed: int, trace: int) -> dict:
+    """run.py's JSON summary with its rounds and failed share, or, when it
+    exits non-zero or prints nothing, its exit code and stderr tail."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--trace", str(trace)]
     t0 = time.perf_counter()
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=False)
+    wall_s = time.perf_counter() - t0
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}: {proc.stderr[-2000:]}")
+        return {"exit_code": proc.returncode, "stderr_tail": proc.stderr[-2000:], "wall_s": wall_s}
     result = json.loads(lines[-1])
     result["summary"] = lines[0]
-    result["wall_s"] = time.perf_counter() - t0
+    fields = dict(f.split("=", 1) for f in lines[0].split() if "=" in f)
+    result["rounds"] = int(fields["rounds"])
+    result["failed_share"] = result["failed"] / result["attempted"]
+    result["wall_s"] = wall_s
     return result
 
 
@@ -84,8 +95,11 @@ def quartiles(values: list[float]) -> dict:
 
 
 def compare(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per-side medians and quartiles, and win counts over the pairs."""
+    """Per-side medians and quartiles, and win counts over the pairs.  Runs
+    that exited non-zero have no metrics and are left out; runs_used and
+    pairs count what each metric was computed from."""
     out = {}
+    runs = [r for r in runs if "metrics" in r]
     for name, direction in better.items():
         sides = {s: [r["metrics"][name]["value"] for r in runs if r["side"] == s] for s in SIDES}
         pairs = {}
@@ -100,7 +114,8 @@ def compare(runs: list[dict], better: dict[str, str]) -> dict:
             wins += d > 0
             ties += d == 0
         complete = sum(len(p) == 2 for p in pairs.values())
-        row = {"better": direction, "pairs": complete, "change_wins": wins, "ties": ties}
+        row = {"better": direction, "runs_used": {s: len(v) for s, v in sides.items()},
+               "pairs": complete, "change_wins": wins, "ties": ties}
         if all(len(v) >= 2 for v in sides.values()):
             row.update({s: quartiles(v) for s, v in sides.items()})
             gap = row["change"]["median"] - row["parent"]["median"]
@@ -109,6 +124,24 @@ def compare(runs: list[dict], better: dict[str, str]) -> dict:
             row["medians_apart_by_more_than_parent_iqr"] = abs(gap) > row["parent_iqr"]
         out[name] = row
     return out
+
+
+def gates(runs: list[dict]) -> dict:
+    """What a metric comparison does not show: pairs in which the change
+    failed a larger share of its operations than the parent, and per side
+    the runs whose checks failed and the runs that exited non-zero."""
+    shares = {}
+    for r in runs:
+        if "failed_share" in r:
+            shares.setdefault(r["pair"], {})[r["side"]] = r["failed_share"]
+    return {
+        "pairs_change_failed_larger_share": sum(
+            1 for p in shares.values() if len(p) == 2 and p["change"] > p["parent"]),
+        "runs_incorrect": {s: sum(1 for r in runs if r["side"] == s and r.get("correct") is False)
+                           for s in SIDES},
+        "runs_exited_nonzero": {s: sum(1 for r in runs if r["side"] == s and "exit_code" in r)
+                                for s in SIDES},
+    }
 
 
 def per_call(metrics: dict) -> dict:
@@ -120,6 +153,14 @@ def per_call(metrics: dict) -> dict:
             if calls and calls["value"]:
                 rows[name[: -len(".self_s")] + ".self_ms_per_call"] = 1e3 * m["value"] / calls["value"]
     return rows
+
+
+def _line(r: dict) -> str:
+    if "exit_code" in r:
+        return f"exited {r['exit_code']}: {r['stderr_tail'][-200:]!r}"
+    return (f"correct={r['correct']} failed={r['failed']}/{r['attempted']} rounds={r['rounds']} "
+            + " ".join(f"{k}={v['value'] if isinstance(v, dict) else v:.4g}"
+                       for k, v in r["metrics"].items()))
 
 
 def main(argv=None) -> int:
@@ -149,23 +190,23 @@ def main(argv=None) -> int:
                 r = run_once(roots[side], w, args.seed + i, 0)
                 entry["runs"].append({"pair": i, "side": side, "seed": args.seed + i, **r})
                 entry["end_to_end"] = compare(entry["runs"], better)
+                entry["gates"] = gates(entry["runs"])
                 save()
-                print(f"{w} pair {i} {side}: correct={r['correct']} failed={r['failed']}/"
-                      f"{r['attempted']} " + " ".join(f"{k}={v['value']:.4g}"
-                                                      for k, v in r["metrics"].items()),
-                      flush=True)
+                print(f"{w} pair {i} {side}: " + _line(r), flush=True)
         entry["traced"] = []
         for i, seed in enumerate(args.trace_seed):
             pair = {"seed": seed}
             entry["traced"].append(pair)
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                 r = run_once(roots[side], w, seed, 1)
-                metrics = {k: v["value"] for k, v in r["metrics"].items()}
-                metrics.update(per_call(r["metrics"]))
-                pair[side] = {"correct": r["correct"], "attempted": r["attempted"],
-                              "failed": r["failed"], "metrics": metrics}
+                if "metrics" in r:
+                    metrics = {k: v["value"] for k, v in r["metrics"].items()}
+                    metrics.update(per_call(r["metrics"]))
+                    r = {k: r[k] for k in ("correct", "attempted", "failed", "rounds",
+                                           "failed_share")} | {"metrics": metrics}
+                pair[side] = r
                 save()
-                print(f"{w} traced seed {seed} {side}: correct={r['correct']}", flush=True)
+                print(f"{w} traced seed {seed} {side}: " + _line(r), flush=True)
     return 0
 
 

@@ -169,7 +169,12 @@ def velocity_battery(potentials=DEFAULT_SUBSET, alphas=MATRIX_ALPHAS, betas=MATR
                     rep.add(base, math.inf, 0.0, passed=False, error=str(exc))
                     continue
                 for side in ("left", "right"):
-                    records = oscillation.velocity_records(q, pair.mu, bc, cells, side=side)
+                    try:
+                        records = oscillation.pair_velocity_records(q, pair, cells, side=side)
+                    except SLZerosError as exc:
+                        rep.add(f"{base} side={side}", math.inf, 0.0, passed=False,
+                                error=str(exc))
+                        continue
                     fds = _fd_velocities(q, pair.mu, bc, side, records, cells, h)
                     for r, fd in zip(records, fds):
                         label = f"{base} side={side} k={r.k}"

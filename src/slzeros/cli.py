@@ -153,8 +153,8 @@ def cmd_zeros(args) -> int:
     bc = _bc(args)
     cells = _default_cells(args)
     pair = spectrum.find_eigenvalue(q, args.n, bc, cells)
-    records = oscillation.canonical_zero_records(q, pair.mu, bc, cells, side="left")
-    rows = [{"k": r.k, "x": r.x, "slope": r.slope} for r in records]
+    rows = [{"k": k, "x": x, "slope": slope}
+            for k, (x, slope) in enumerate(zip(pair.zeros, pair.slopes))]
     write_rows(rows, SCHEMAS["zeros"], args.format, args.out, "zeros")
     return EXIT_OK
 
@@ -164,7 +164,7 @@ def cmd_velocities(args) -> int:
     bc = _bc(args)
     cells = _default_cells(args)
     pair = spectrum.find_eigenvalue(q, args.n, bc, cells)
-    records = oscillation.velocity_records(q, pair.mu, bc, cells, side=args.side)
+    records = oscillation.pair_velocity_records(q, pair, cells, side=args.side)
     rows = [{"k": r.k, "x": r.x, "slope": r.slope,
              "velocity": r.velocity, "side": r.side} for r in records]
     write_rows(rows, SCHEMAS["velocities"], args.format, args.out, "velocities")

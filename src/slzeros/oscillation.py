@@ -4,9 +4,13 @@ Zeros are never hunted by sampling: inside each mesh cell the solution is a
 known combination of the constant-coefficient basis, so its roots come from
 inverting that closed form (an arctangent family in oscillatory cells, at
 most one root otherwise), followed by a short Newton polish on the same
-closed form.  Endpoint zeros are decided by boundary-angle logic alone --
-alpha = pi pins a zero at 0 and beta = 0 pins one at pi for every mu -- so
-they are exact by construction rather than floating-point accidents.
+closed form.  Only cells that can hold a root are inverted: those whose end
+values differ in sign, trigonometric cells turning more than half a turn,
+and the first and last cell.  Endpoint zeros are decided by boundary-angle
+logic alone -- alpha = pi pins a zero at 0 and beta = 0 pins one at pi for
+every mu -- so they are exact by construction rather than floating-point
+accidents.  An eigenfunction's zeros come from both launches, each on its
+own side of a matching point (matched_zero_records).
 
 The velocity of a zero with respect to the spectral parameter is computed
 from the launch-side formula matching the trajectory direction:
@@ -23,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateRatio, IndexOutOfRange, SlopeUnderflow
+from .errors import CountMismatch, DegenerateRatio, IndexOutOfRange, SlopeUnderflow
 from .potential import PI, Potential
 from .shooting import (
     DEFAULT_CELLS,
@@ -33,12 +37,16 @@ from .shooting import (
     right_conditions,
     square_integral_from_launch,
     _cell_frame,
+    _square_integrals_from_launch,
 )
 
 _DEDUP = 1e-9
 _END_FUZZ = 1e-9
 _ZERO_TOL = 1e-12
 _SLOPE_FLOOR = 1e-10
+# roots this close to a zero decided elsewhere (a pinned endpoint, or the
+# other launch's at the matching point) are that zero found again
+_PIN_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -113,30 +121,33 @@ def _polish(y0, yp0, w, s, s_lo, s_hi):
     return s
 
 
-def find_zeros(traj: SolutionTrajectory) -> list[ZeroRecord]:
-    """Every zero of y on [0, pi], sorted ascending.
+def find_zeros(traj: SolutionTrajectory, window: range | None = None) -> list[ZeroRecord]:
+    """Every zero of y on [0, pi], or in the cells of window, sorted ascending.
 
-    The launch-endpoint zero is included exactly when the launch angle
-    forces it (alpha = pi on the left, beta = 0 on the right).  Raises
-    SlopeUnderflow if a zero with |y'| < 1e-10 is found, since zeros of
-    nontrivial solutions are simple.
+    A cell is searched when its stored end values differ in sign or one is
+    zero (the log scales are positive factors, so signs survive them), when
+    it is trigonometric and turns more than half a turn (w h**2 > pi**2,
+    the only way a cell can hold two roots), or when it is the first or
+    last cell searched, where a root up to _END_FUZZ past the edge has no
+    neighbouring cell to catch it.  The launch-endpoint zero is included
+    exactly when the launch angle forces it (alpha = pi on the left,
+    beta = 0 on the right), whatever the window.  Raises SlopeUnderflow if
+    a zero with |y'| < 1e-10 is found, since zeros of nontrivial solutions
+    are simple.
     """
     mesh = traj.mesh
     states = traj.states
-    n_cells = len(mesh) - 1
-    ym = states[:, 0]
-    scale = float(np.abs(ym).max())
-    near_edge = np.abs(ym) <= max(scale, 1e-300) * 1e-9
-
-    candidates = np.zeros(n_cells, dtype=bool)
-    candidates |= ym[:-1] * ym[1:] < 0.0
-    candidates |= near_edge[:-1] | near_edge[1:]
+    lo, hi = (0, len(mesh) - 1) if window is None else (window.start, window.stop)
+    ym = states[lo:hi + 1, 0]
     widths = np.diff(mesh)
-    candidates |= np.sqrt(np.maximum(traj.w, 0.0)) * widths > math.pi
+    candidates = ym[:-1] * ym[1:] <= 0.0
+    candidates |= traj.w[lo:hi] * widths[lo:hi] ** 2 > math.pi ** 2
+    if hi > lo:
+        candidates[[0, -1]] = True
 
     left = traj.direction == "left"
     found: list[tuple[float, float, float]] = []  # (x, slope_stored, sigma)
-    for i in np.nonzero(candidates)[0]:
+    for i in lo + np.nonzero(candidates)[0]:
         edge, x_edge = _cell_frame(traj, int(i))
         y0, yp0 = float(states[edge, 0]), float(states[edge, 1])
         h = float(widths[i])
@@ -198,11 +209,11 @@ def canonical_zero_records(q: Potential, mu: float, bc, cells: int = DEFAULT_CEL
         raise ValueError(f"trajectory direction {traj.direction!r} != side {side!r}")
     records = find_zeros(traj)
     if side == "left" and bc.beta == 0.0:
-        records = [r for r in records if r.x <= PI - 1e-6]
+        records = [r for r in records if r.x <= PI - _PIN_TOL]
         end = traj.value(PI)
         records.append(ZeroRecord(x=PI, k=0, slope=float(end[1]), side=side))
     if side == "right" and bc.alpha == PI:
-        records = [r for r in records if r.x >= 1e-6]
+        records = [r for r in records if r.x >= _PIN_TOL]
         start = traj.value(0.0)
         records.insert(0, ZeroRecord(x=0.0, k=0, slope=float(start[1]), side=side))
     total = len(records)
@@ -216,15 +227,45 @@ def velocity_records(q: Potential, mu: float, bc, cells: int = DEFAULT_CELLS,
     ic = left_conditions(bc.alpha) if side == "left" else right_conditions(bc.beta)
     traj = propagate(q, mu, ic, cells, variational=True)
     records = canonical_zero_records(q, mu, bc, cells, side=side, traj=traj)
-    out = []
-    for r in records:
-        integral = square_integral_from_launch(traj, r.x)
-        if side == "left":
-            v = -integral / (r.slope * r.slope)
-        else:
-            v = integral / (r.slope * r.slope)
-        out.append(replace(r, velocity=float(v), side=side))
-    return out
+    integrals = _square_integrals_from_launch(traj, np.array([r.x for r in records]))
+    sign = -1.0 if side == "left" else 1.0
+    return [replace(r, velocity=float(sign * integral / (r.slope * r.slope)), side=side)
+            for r, integral in zip(records, integrals.tolist())]
+
+
+def matched_zero_records(phi: SolutionTrajectory, psi: SolutionTrajectory,
+                         split: int) -> list[ZeroRecord]:
+    """Zeros of an eigenfunction from its two launches met at the matching
+    point x_m = mesh[split]: phi's (left launch) below x_m, searched over
+    cells 0..split-1, and psi's (right launch) from x_m on, searched over
+    the rest.  Each launch is trusted only on its own side: past x_m it may
+    carry a roundoff-born growing solution that the eigenfunction lacks,
+    whose zeros are not the eigenfunction's.
+
+    Both searches reach _END_FUZZ past x_m, so a zero on x_m can come from
+    both; it is taken once, from phi.  side names the launch whose scale a
+    record's slope is in; k is the ordinal ascending from x = 0.
+    """
+    below = find_zeros(phi, range(0, split))
+    above = find_zeros(psi, range(split, len(psi.mesh) - 1))
+    if below and above and above[0].x - below[-1].x < _PIN_TOL:
+        above = above[1:]
+    return [replace(r, k=i) for i, r in enumerate(below + above)]
+
+
+def pair_velocity_records(q: Potential, pair, cells: int = DEFAULT_CELLS,
+                          side: str = "left") -> list[ZeroRecord]:
+    """velocity_records at an eigenpair, from one launch over all of
+    [0, pi].  Past a barrier that launch can carry a spurious zero the
+    eigenfunction lacks (see matched_zero_records); raises CountMismatch
+    when its interior count is not the eigenpair's n."""
+    records = velocity_records(q, pair.mu, pair.boundary, cells, side=side)
+    interior = sum(1 for r in records if 0.0 < r.x < PI)
+    if interior != pair.n:
+        raise CountMismatch(
+            f"{side} launch at mu={pair.mu} has {interior} interior zeros, "
+            f"the eigenfunction n={pair.n}", expected=pair.n, found=interior)
+    return records
 
 
 def _select_ordinal(records: list[ZeroRecord], k: int) -> ZeroRecord:
@@ -237,27 +278,36 @@ def _select_ordinal(records: list[ZeroRecord], k: int) -> ZeroRecord:
 def zero_velocity_phi(q: Potential, pair, k: int, cells: int = DEFAULT_CELLS) -> float:
     """dx/dmu of the k-th zero (ascending from 0) of the left-launched
     eigenfunction; always <= 0, equal to 0 only for the pinned zero at 0."""
-    records = velocity_records(q, pair.mu, pair.boundary, cells, side="left")
+    records = pair_velocity_records(q, pair, cells, side="left")
     return _select_ordinal(records, k).velocity
 
 
 def zero_velocity_psi(q: Potential, pair, k: int, cells: int = DEFAULT_CELLS) -> float:
     """dx/dmu of the k-th zero (descending from pi) of the right-launched
     eigenfunction; always >= 0, equal to 0 only for the pinned zero at pi."""
-    records = velocity_records(q, pair.mu, pair.boundary, cells, side="right")
+    records = pair_velocity_records(q, pair, cells, side="right")
     return _select_ordinal(records, k).velocity
 
 
 def proportionality_constant_at(phi: SolutionTrajectory, psi: SolutionTrajectory) -> float:
     """Ratio between the left-launched (phi) and right-launched (psi)
-    eigenfunctions, evaluated where psi is largest."""
-    phi_vals = phi.true_states()[:, 0]
-    psi_vals = psi.true_states()[:, 0]
-    i = int(np.argmax(np.abs(psi_vals)))
-    denom = psi_vals[i]
-    if abs(denom) < 1e-12 * max(float(np.abs(psi_vals).max()), 1e-300):
+    eigenfunctions, evaluated where |phi * psi| is largest.
+
+    Where both launches are accurate, phi * psi is c_n times the square of
+    the eigenfunction, so its peak is the eigenfunction's.  Past a barrier
+    one launch carries a roundoff-born growing solution, but the product
+    of that with the other launch's decaying one stays at roundoff size,
+    so a peak there cannot outbid the true one.  (Where |psi| alone is
+    largest can be past a barrier, in a deep well.)"""
+    with np.errstate(divide="ignore"):
+        log_product = (np.log(np.abs(phi.states[:, 0])) + phi.log_scale
+                       + np.log(np.abs(psi.states[:, 0])) + psi.log_scale)
+    i = int(np.argmax(log_product))
+    if not math.isfinite(float(log_product[i])):
         raise DegenerateRatio(f"right-launched solution degenerate at mu={psi.mu}")
-    return float(phi_vals[i] / denom)
+    with np.errstate(over="ignore"):
+        scale = math.exp(float(phi.log_scale[i]) - float(psi.log_scale[i]))
+    return float(phi.states[i, 0] / psi.states[i, 0] * scale)
 
 
 def proportionality_residual(q: Potential, pair, cells: int = DEFAULT_CELLS):

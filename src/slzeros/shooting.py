@@ -578,21 +578,24 @@ def _eval_in_cell(traj: SolutionTrajectory, i: int, x: float):
     return M @ traj.states[edge], float(traj.log_scale[edge])
 
 
+def _square_integrals_from_launch(traj: SolutionTrajectory, xs: np.ndarray) -> np.ndarray:
+    """True-scale integrals of y**2 from the launch endpoint to each of xs:
+    the running integral at each point's launch-side cell edge plus the
+    closed-form integral over the rest of the way."""
+    if traj.cum_square is None:
+        raise ValueError("trajectory was propagated without integral data")
+    cells = np.clip(np.searchsorted(traj.mesh, xs, side="right") - 1, 0, len(traj.mesh) - 2)
+    edges = cells if traj.direction == _LEFT else cells + 1
+    f = _cell_functions(traj.w[cells], xs - traj.mesh[edges], variational=False, integrals=True)
+    part = _square_increments(traj.states[edges], f, traj.direction)
+    with np.errstate(over="ignore"):
+        return traj.cum_square[edges] + part * np.exp(2.0 * traj.log_scale[edges])
+
+
 def square_integral_from_launch(traj: SolutionTrajectory, x: float) -> float:
     """True-scale integral of y**2 from the launch endpoint to x.
 
     For left launches this is the integral over [0, x]; for right launches
     over [x, pi].
     """
-    if traj.cum_square is None:
-        raise ValueError("trajectory was propagated without integral data")
-    i = traj.cell_of(x)
-    edge, x_edge = _cell_frame(traj, i)
-    s = np.array([x - x_edge])
-    wv = np.array([traj.w[i]])
-    f = _cell_functions(wv, s, variational=False, integrals=True)
-    part = float(_square_increments(traj.states[edge:edge + 1], f, traj.direction)[0])
-    sig = float(traj.log_scale[edge])
-    with np.errstate(over="ignore"):
-        scale = math.exp(2.0 * sig) if sig != 0.0 else 1.0
-    return float(traj.cum_square[edge] + part * scale)
+    return float(_square_integrals_from_launch(traj, np.array([float(x)]))[0])

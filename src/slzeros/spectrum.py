@@ -107,9 +107,10 @@ class Eigenpair:
     """One located eigenvalue with its zero set and proportionality constant.
 
     zeros holds the abscissae of every zero of the eigenfunction in [0, pi],
-    endpoint zeros included exactly when alpha = pi (at 0) or beta = 0
-    (at pi); c_n is the nonzero ratio between the left- and right-launched
-    eigenfunctions.
+    ascending, endpoint zeros included exactly when alpha = pi (at 0) or
+    beta = 0 (at pi), and slopes the eigenfunction's y' at each, in the
+    scale of the left-launched solution; c_n is the nonzero ratio between
+    the left- and right-launched eigenfunctions.
     """
 
     n: int
@@ -117,6 +118,7 @@ class Eigenpair:
     boundary: BoundaryParams
     c_n: float
     zeros: tuple[float, ...]
+    slopes: tuple[float, ...]
 
 
 def characteristic(q: Potential, mu: float, bc: BoundaryParams,
@@ -226,24 +228,35 @@ def _locate_mu(q: Potential, n: int, alpha: float, beta: float, cells: int) -> f
 
 def find_eigenvalue(q: Potential, n: int, bc: BoundaryParams,
                     cells: int = DEFAULT_CELLS) -> Eigenpair:
-    """Locate the n-th eigenvalue (increasing enumeration, n >= 0); raises
-    CountMismatch unless its eigenfunction has exactly n interior zeros."""
+    """Locate the n-th eigenvalue (increasing enumeration, n >= 0).
+
+    The eigenfunction's zeros come from the left launch below the matching
+    point, where q is lowest, and from the right launch above it, so that
+    neither launch is read past a barrier, where roundoff in it grows into
+    a solution the eigenfunction does not contain.  Raises CountMismatch
+    unless the eigenfunction has exactly n interior zeros.
+    """
     if n < 0:
         raise DomainMismatch(f"eigenvalue index n={n} must be >= 0")
     n, alpha, beta, cells = int(n), float(bc.alpha), float(bc.beta), int(cells)
     bc = BoundaryParams(alpha, beta)
     mu = _locate_mu(q, n, alpha, beta, cells)
     phi = propagate(q, mu, left_conditions(alpha), cells, variational=False)
-    records = oscillation.canonical_zero_records(q, mu, bc, cells, side="left", traj=phi)
+    psi = propagate(q, mu, right_conditions(beta), cells, variational=False)
+    # the launches meet at the left edge of the first cell with the lowest
+    # average, as perfbench/reference.py's matching_point picks its x_m
+    split = int(np.argmin(_mesh_data(q, cells)[2]))
+    records = oscillation.matched_zero_records(phi, psi, split)
     interior = sum(1 for r in records if 0.0 < r.x < PI)
     if interior != n:
         raise CountMismatch(
             f"eigenfunction n={n} at mu={mu} has {interior} interior zeros",
             expected=n, found=interior)
-    psi = propagate(q, mu, right_conditions(beta), cells, variational=False)
-    return Eigenpair(n=n, mu=mu, boundary=bc,
-                     c_n=oscillation.proportionality_constant_at(phi, psi),
-                     zeros=tuple(r.x for r in records))
+    c_n = oscillation.proportionality_constant_at(phi, psi)
+    return Eigenpair(n=n, mu=mu, boundary=bc, c_n=c_n,
+                     zeros=tuple(r.x for r in records),
+                     slopes=tuple(r.slope * c_n if r.side == "right" else r.slope
+                                  for r in records))
 
 
 def evf(q: Potential, coords: EvfCoordinates, cells: int = DEFAULT_CELLS) -> float:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from slzeros import batteries, sweep
+from slzeros import batteries, spectrum, sweep
 from slzeros.cli import main, parse_angle, parse_q_argument
 
 PI = math.pi
@@ -76,6 +76,37 @@ def test_zeros_command(capsys):
     rows = json.loads(out)["rows"]
     xs = [r["x"] for r in rows]
     assert xs == pytest.approx([k * PI / 3 for k in range(4)], abs=1e-9)
+
+
+def test_zeros_command_prints_the_eigenpairs_list(capsys):
+    # the left launch alone has a fifth interior zero here, past the right
+    # barrier; the command must list the eigenpair's four
+    q = parse_q_argument("step:-3000:1:2")
+    pair = spectrum.find_eigenvalue(q, 4, spectrum.BoundaryParams(PI / 2, 0.3))
+    code, out, _ = run_cli(["zeros", "--q", "step:-3000:1:2", "--alpha", "pi/2",
+                            "--beta", "0.3", "--n", "4"], capsys)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r["k"] for r in rows] == list(range(4))
+    assert [r["x"] for r in rows] == list(pair.zeros)
+    assert [r["slope"] for r in rows] == list(pair.slopes)
+    # all four zeros lie in the constant well, where |y'| is the same at
+    # every zero and its sign alternates: the right launch's slopes are in
+    # the left launch's scale only if c_n is
+    slopes = [r["slope"] for r in rows]
+    assert all(a * b < 0.0 for a, b in zip(slopes, slopes[1:]))
+    assert max(map(abs, slopes)) == pytest.approx(min(map(abs, slopes)), rel=1e-9)
+
+
+def test_velocities_command_refuses_a_launch_with_a_spurious_zero(capsys):
+    # each launch alone has a fifth interior zero past the far barrier on
+    # this n = 4 eigenfunction, so its velocity list is not the eigenpair's
+    for side in ("left", "right"):
+        code, out, err = run_cli(["velocities", "--q", "step:-3000:1:2", "--alpha", "pi/2",
+                                  "--beta", "0.3", "--n", "4", "--side", side], capsys)
+        assert code == 3, side
+        assert out == ""
+        assert "5 interior zeros" in err
 
 
 def test_velocities_command(capsys):

@@ -1,12 +1,22 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from slzeros.errors import CountMismatch, IndexOutOfRange
+from slzeros import oscillation, potential, spectrum
+from slzeros.errors import CountMismatch, IndexOutOfRange, SlopeUnderflow
 from slzeros.oscillation import (
+    _DEDUP,
+    _END_FUZZ,
+    _SLOPE_FLOOR,
+    _ZERO_TOL,
+    ZeroRecord,
+    _cell_root_candidates,
+    _polish,
+    _scalar_basis,
     canonical_zero_records,
     find_zeros,
     identity_residual,
@@ -15,7 +25,14 @@ from slzeros.oscillation import (
     zero_velocity_phi,
     zero_velocity_psi,
 )
-from slzeros.shooting import left_conditions, propagate, right_conditions, terminal_phase
+from slzeros.shooting import (
+    _cell_frame,
+    left_conditions,
+    propagate,
+    right_conditions,
+    square_integral_from_launch,
+    terminal_phase,
+)
 from slzeros.spectrum import BoundaryParams, find_eigenvalue
 
 from .oracles import dirichlet_matrix_eigenvector
@@ -122,6 +139,18 @@ def test_velocity_index_out_of_range(q_zero):
         zero_velocity_phi(q_zero, pair, 99, 512)
 
 
+def test_velocities_of_a_launch_with_a_spurious_zero_are_refused():
+    # on this deep well each launch alone has a fifth interior zero past the
+    # far barrier, which the n = 4 eigenpair does not contain
+    q = potential.step(-3000.0, 1.0, 2.0)
+    pair = find_eigenvalue(q, 4, BoundaryParams(PI / 2, 0.3), 4096)
+    assert sum(1 for x in pair.zeros if 0.0 < x < PI) == 4
+    for velocity in (zero_velocity_phi, zero_velocity_psi):
+        with pytest.raises(CountMismatch) as info:
+            velocity(q, pair, 4, 4096)
+        assert (info.value.expected, info.value.found) == (4, 5)
+
+
 def test_proportionality_flat(q_zero):
     p0 = find_eigenvalue(q_zero, 0, DD, 512)
     p1 = find_eigenvalue(q_zero, 1, DD, 512)
@@ -170,3 +199,129 @@ def test_zero_count_matches_phase_lifting(q_step, mu, angle):
     traj = propagate(q_step, mu, left_conditions(angle), 256, variational=False)
     records = find_zeros(traj)
     assert len(records) == math.floor(theta_end / PI)
+
+
+# -- the sign-change candidate rule against the near-edge rule it replaced -------
+
+def _near_edge_reference(traj):
+    """find_zeros with the near-edge candidate rule: every cell with a sign
+    change, a half turn, or an end value within 1e-9 of the largest stored
+    |y| is searched.  The rule compares stored values across log scales, so
+    on deep hyperbolic solutions it searches most of the mesh; kept as the
+    reference the exact rule must reproduce record for record."""
+    mesh, states = traj.mesh, traj.states
+    ym = states[:, 0]
+    near_edge = np.abs(ym) <= max(float(np.abs(ym).max()), 1e-300) * 1e-9
+    widths = np.diff(mesh)
+    candidates = ym[:-1] * ym[1:] < 0.0
+    candidates |= near_edge[:-1] | near_edge[1:]
+    candidates |= np.sqrt(np.maximum(traj.w, 0.0)) * widths > math.pi
+    left = traj.direction == "left"
+    found = []
+    for i in np.nonzero(candidates)[0]:
+        edge, x_edge = _cell_frame(traj, int(i))
+        y0, yp0 = float(states[edge, 0]), float(states[edge, 1])
+        h = float(widths[i])
+        s_lo, s_hi = (-_END_FUZZ, h + _END_FUZZ) if left else (-h - _END_FUZZ, _END_FUZZ)
+        amp = max(abs(y0), abs(yp0) * h, abs(float(states[edge + (1 if left else -1), 0])))
+        w = float(traj.w[i])
+        for s in _cell_root_candidates(y0, yp0, w, s_lo, s_hi):
+            s = _polish(y0, yp0, w, s, s_lo, s_hi)
+            c, S, cp = _scalar_basis(w, s)
+            if abs(y0 * c + yp0 * S) > _ZERO_TOL * max(amp, 1e-300):
+                continue
+            found.append((min(max(x_edge + s, 0.0), PI), y0 * cp + yp0 * c,
+                          float(traj.log_scale[edge])))
+    found.sort(key=lambda t: t[0])
+    dedup = []
+    for item in found:
+        if not dedup or item[0] - dedup[-1][0] >= _DEDUP:
+            dedup.append(item)
+    if left and traj.ic.angle == PI:
+        dedup = [z for z in dedup if z[0] >= _DEDUP]
+        dedup.insert(0, (0.0, float(states[0, 1]), float(traj.log_scale[0])))
+    if not left and traj.ic.angle == 0.0:
+        dedup = [z for z in dedup if z[0] <= PI - _DEDUP]
+        dedup.append((PI, float(states[-1, 1]), float(traj.log_scale[-1])))
+    records = []
+    for idx, (x, slope, sigma) in enumerate(dedup):
+        with np.errstate(over="ignore"):
+            slope = slope * math.exp(sigma) if sigma != 0.0 else slope
+        if abs(slope) < _SLOPE_FLOOR:
+            raise SlopeUnderflow(f"zero at x={x} has |slope|={abs(slope):.3e}")
+        k = idx if left else len(dedup) - 1 - idx
+        records.append(ZeroRecord(x=x, k=k, slope=float(slope), side=traj.direction))
+    return records
+
+
+# one spectral parameter in each of the trajectory workload's bands: deep
+# hyperbolic (log scales engaged), shallow hyperbolic, then up to about 40
+# oscillations
+BAND_MUS = (-9137.25, -17.5, 43.125, 318.75, 1207.5)
+LAUNCHES = (("left", PI), ("left", 1.3), ("right", 0.0), ("right", 2.1))
+
+
+@pytest.mark.parametrize("qname", ["q_zero", "q_const5", "q_cos2x", "q_step", "q_singular"])
+def test_sign_change_rule_matches_near_edge_reference(qname, request):
+    q = request.getfixturevalue(qname)
+    for cells in (4096, 16384):
+        for mu in BAND_MUS:
+            for side, angle in LAUNCHES:
+                ic = left_conditions(angle) if side == "left" else right_conditions(angle)
+                traj = propagate(q, mu, ic, cells, variational=False)
+                assert find_zeros(traj) == _near_edge_reference(traj), (cells, mu, side, angle)
+
+
+def test_deep_hyperbolic_solution_searches_end_cells_only(q_cos2x, monkeypatch):
+    # 15,245 of the 16,385 stored |y| lie within 1e-9 of the largest, which
+    # the near-edge rule took for zeros about to happen
+    searched = []
+
+    def counted(*args):
+        searched.append(args)
+        return _cell_root_candidates(*args)
+
+    monkeypatch.setattr(oscillation, "_cell_root_candidates", counted)
+    for ic in (left_conditions(PI / 2), right_conditions(PI / 2)):
+        traj = propagate(q_cos2x, -9000.0, ic, 16384, variational=False)
+        searched.clear()
+        assert find_zeros(traj) == [] == _near_edge_reference(traj)
+        assert len(searched) == 2, ic  # the first and the last cell
+
+
+@pytest.mark.parametrize("qname", ["q_zero", "q_const5", "q_cos2x", "q_step", "q_singular"])
+def test_zero_at_pi_of_beta_zero_eigenfunctions(qname, request):
+    # the left launch at an eigenvalue with beta = 0 has its last root at pi
+    # up to roundoff, possibly just past it, where only the last cell sees it
+    q = request.getfixturevalue(qname)
+    for alpha in (PI, PI / 2, 2.3):
+        for n in (0, 1, 4, 9):
+            mu = find_eigenvalue(q, n, BoundaryParams(alpha, 0.0), 4096).mu
+            traj = propagate(q, mu, left_conditions(alpha), 4096, variational=False)
+            assert find_zeros(traj) == _near_edge_reference(traj), (alpha, n)
+
+
+@pytest.mark.parametrize("r", [0, 14])
+def test_deep_well_left_launches_match_reference(r):
+    q = potential.step(-3000.0, 1.0, 2.0)
+    beta = 0.3 + r * 1e-9
+    for n in range(5):
+        mu = spectrum._locate_mu(q, n, PI / 2, beta, 4096)
+        traj = propagate(q, mu, left_conditions(PI / 2), 4096, variational=False)
+        assert find_zeros(traj) == _near_edge_reference(traj), n
+
+
+@pytest.mark.parametrize("qname", ["q_zero", "q_const5", "q_cos2x", "q_step", "q_singular"])
+def test_velocity_records_use_the_per_zero_integral(qname, request):
+    q = request.getfixturevalue(qname)
+    for mu in BAND_MUS:
+        for side, angle in LAUNCHES:
+            bc = BoundaryParams(angle, 1.0) if side == "left" else BoundaryParams(1.0, angle)
+            ic = left_conditions(angle) if side == "left" else right_conditions(angle)
+            traj = propagate(q, mu, ic, 4096, variational=True)
+            want = []
+            for r in canonical_zero_records(q, mu, bc, 4096, side=side, traj=traj):
+                integral = square_integral_from_launch(traj, r.x)
+                v = -integral / (r.slope * r.slope) if side == "left" else integral / r.slope ** 2
+                want.append(replace(r, velocity=v))
+            assert velocity_records(q, mu, bc, 4096, side=side) == want, (mu, side, angle)

@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 
 from slzeros import potential, spectrum
 from slzeros.errors import BracketFailure, DomainMismatch
-from slzeros.shooting import left_conditions, min_cell_average, terminal_phase
+from slzeros.oscillation import canonical_zero_records
+from slzeros.shooting import (
+    _mesh_data,
+    left_conditions,
+    min_cell_average,
+    propagate,
+    right_conditions,
+    terminal_phase,
+)
 from slzeros.spectrum import (
     BoundaryParams,
     EvfCoordinates,
@@ -310,3 +318,79 @@ def test_beta_seam_identity(q_cos2x):
     hi = find_eigenvalue(q_cos2x, 3, BoundaryParams(PI, PI - 1e-4), 1024).mu
     lo = find_eigenvalue(q_cos2x, 2, BoundaryParams(PI, 0.0), 1024).mu
     assert abs(hi - lo) / max(1.0, abs(lo)) < 1e-3
+
+
+# -- zeros from both launches, met at the matching point -----------------------
+
+MATCHED_CELLS = 4096
+DEEP_STEP = potential.step(-3000.0, 1.0, 2.0)
+# deep wells at (pi/2, beta), where the left launch alone can pick up a
+# spurious zero past the right barrier and fail the count; r = 14 at n = 4
+# is the one deep-well solve it passed
+MATCHED_CASES = (
+    [(DEEP_STEP, n, 0.3 + r * 1e-9) for r in range(40) for n in range(5)]
+    + [(potential.step(-1e3, 1.0, 2.0), n, 0.3) for n in (0, 1, 4)]
+    + [(potential.step(-1e4, 1.0, 2.0), 0, 0.3), (potential.power(-5.0, -0.7), 0, 0.3)]
+)
+
+
+def test_matched_zero_list_regression_matrix():
+    for q, n, beta in MATCHED_CASES:
+        bc = BoundaryParams(PI / 2, beta)
+        pair = find_eigenvalue(q, n, bc, MATCHED_CELLS)
+        assert _interior(pair) == n, (q, n, beta)
+        assert pair.mu == spectrum._locate_mu(q, n, PI / 2, beta, MATCHED_CELLS)
+        mesh, _, qbar, _ = _mesh_data(q, MATCHED_CELLS)
+        xm = mesh[int(np.argmin(qbar))]
+        phi_own = [r.x for r in canonical_zero_records(q, pair.mu, bc, MATCHED_CELLS, "left")]
+        assert [x for x in pair.zeros if x < xm] == [x for x in phi_own if x < xm], (q, n, beta)
+        assert len(pair.slopes) == len(pair.zeros)
+        assert all(a * b < 0.0 for a, b in zip(pair.slopes, pair.slopes[1:])), (q, n, beta)
+
+
+def test_deep_well_c_n_and_slopes_are_taken_where_both_launches_hold():
+    # where |psi| is largest is x = 0, past the left barrier, where psi is
+    # a roundoff-born growing solution; at the matching point, in the
+    # well, both launches are the eigenfunction
+    mesh, _, qbar, _ = _mesh_data(DEEP_STEP, MATCHED_CELLS)
+    xm = mesh[int(np.argmin(qbar))]
+    for n in range(5):
+        bc = BoundaryParams(PI / 2, 0.3)
+        pair = find_eigenvalue(DEEP_STEP, n, bc, MATCHED_CELLS)
+        phi = propagate(DEEP_STEP, pair.mu, left_conditions(bc.alpha), MATCHED_CELLS, False)
+        psi = propagate(DEEP_STEP, pair.mu, right_conditions(bc.beta), MATCHED_CELLS, False)
+        assert pair.c_n * psi.value(xm) == pytest.approx(phi.value(xm), rel=1e-10)
+        # every zero is in the constant well, so |y'| is one value at all
+        # of them, on both sides of x_m
+        slopes = np.abs(pair.slopes)
+        if n:
+            assert slopes.max() == pytest.approx(slopes.min(), rel=1e-9), n
+
+
+@pytest.mark.parametrize("qname", ["q_zero", "q_const5", "q_cos2x", "q_step", "q_singular"])
+def test_matched_zeros_and_slopes_agree_with_the_left_launch(qname, request):
+    # away from deep wells the left launch alone is accurate everywhere: the
+    # matched list must give its zeros, and its slopes up to the roundoff of
+    # c_n, on both sides of the matching point
+    q = request.getfixturevalue(qname)
+    for alpha, beta in ((PI, 0.0), (PI / 2, PI / 2), (2.2, 0.7), (PI, 1.9)):
+        bc = BoundaryParams(alpha, beta)
+        for n in (0, 1, 3, 8):
+            pair = find_eigenvalue(q, n, bc, 2048)
+            own = canonical_zero_records(q, pair.mu, bc, 2048, "left")
+            assert len(pair.zeros) == len(own), (alpha, beta, n)
+            for x, slope, r in zip(pair.zeros, pair.slopes, own):
+                assert x == pytest.approx(r.x, abs=1e-12)
+                assert slope == pytest.approx(r.slope, rel=1e-10)
+
+
+def test_zero_on_the_matching_point_is_counted_once(q_cos2x):
+    # at 512 cells the matching point of cos(2x) is the mesh point pi/2
+    # exactly, where every odd Dirichlet eigenfunction has a zero that both
+    # launches find
+    mesh, _, qbar, _ = _mesh_data(q_cos2x, 512)
+    assert mesh[int(np.argmin(qbar))] == PI / 2
+    for n in (1, 3, 5):
+        pair = find_eigenvalue(q_cos2x, n, DD, 512)
+        assert _interior(pair) == n
+        assert sum(1 for x in pair.zeros if abs(x - PI / 2) < 1e-9) == 1
