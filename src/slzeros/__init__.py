@@ -13,9 +13,7 @@ from .errors import (
     CountMismatch,
     DegenerateRatio,
     DomainMismatch,
-    EmptyInterval,
     EventNotFound,
-    IndexOutOfRange,
     LinkAmbiguity,
     MeshTooCoarse,
     MonotonicityViolation,
@@ -31,10 +29,8 @@ from .oscillation import (
     ZeroRecord,
     find_zeros,
     identity_residual,
-    zero_velocity_phi,
-    zero_velocity_psi,
 )
-from .potential import Potential, eval_cell_average, parse_potential
+from .potential import Potential, parse_potential
 from .shooting import (
     DEFAULT_CELLS,
     EndpointConditions,
@@ -48,7 +44,6 @@ from .spectrum import (
     BoundaryParams,
     Eigenpair,
     EvfCoordinates,
-    characteristic,
     evf,
     evf_grid,
     find_eigenvalue,

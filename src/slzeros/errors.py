@@ -37,10 +37,6 @@ class DomainMismatch(ConfigError):
     """A coordinate or parameter lies outside its legal range."""
 
 
-class EmptyInterval(ConfigError):
-    pass
-
-
 # -- shooting ----------------------------------------------------------------
 
 class MeshTooCoarse(ConfigError):
@@ -79,10 +75,6 @@ class CountMismatch(SolverFault):
         super().__init__(message)
         self.expected = expected
         self.found = found
-
-
-class IndexOutOfRange(ConfigError):
-    pass
 
 
 class DegenerateRatio(SolverFault):

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CountMismatch, DegenerateRatio, IndexOutOfRange, SlopeUnderflow
+from .errors import CountMismatch, DegenerateRatio, SlopeUnderflow
 from .potential import PI, Potential
 from .shooting import (
     DEFAULT_CELLS,
@@ -266,27 +266,6 @@ def pair_velocity_records(q: Potential, pair, cells: int = DEFAULT_CELLS,
             f"{side} launch at mu={pair.mu} has {interior} interior zeros, "
             f"the eigenfunction n={pair.n}", expected=pair.n, found=interior)
     return records
-
-
-def _select_ordinal(records: list[ZeroRecord], k: int) -> ZeroRecord:
-    for r in records:
-        if r.k == k:
-            return r
-    raise IndexOutOfRange(f"zero ordinal k={k} outside 0..{len(records) - 1}")
-
-
-def zero_velocity_phi(q: Potential, pair, k: int, cells: int = DEFAULT_CELLS) -> float:
-    """dx/dmu of the k-th zero (ascending from 0) of the left-launched
-    eigenfunction; always <= 0, equal to 0 only for the pinned zero at 0."""
-    records = pair_velocity_records(q, pair, cells, side="left")
-    return _select_ordinal(records, k).velocity
-
-
-def zero_velocity_psi(q: Potential, pair, k: int, cells: int = DEFAULT_CELLS) -> float:
-    """dx/dmu of the k-th zero (descending from pi) of the right-launched
-    eigenfunction; always >= 0, equal to 0 only for the pinned zero at pi."""
-    records = pair_velocity_records(q, pair, cells, side="right")
-    return _select_ordinal(records, k).velocity
 
 
 def proportionality_constant_at(phi: SolutionTrajectory, psi: SolutionTrajectory) -> float:

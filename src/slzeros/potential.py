@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import (
     DomainMismatch,
-    EmptyInterval,
     NonIntegrableExponent,
     NonMonotoneTable,
     UnknownKind,
@@ -191,25 +190,6 @@ def _antiderivative(q: Potential, x: np.ndarray) -> np.ndarray:
     seg = xs[idx + 1] - x0
     slope = (qs[idx + 1] - qs[idx]) / seg
     return cum[idx] + qs[idx] * dx + 0.5 * slope * dx * dx
-
-
-def integral(q: Potential, a: float, b: float) -> float:
-    """Exact integral of q over [a, b] (signed, a <= b not required)."""
-    fa, fb = _antiderivative(q, np.array([a, b]))
-    return float(fb - fa)
-
-
-def eval_cell_average(q: Potential, a: float, b: float) -> float:
-    """Mean value of q over [a, b], exact; well-defined across singularities.
-
-    Raises EmptyInterval if a >= b and DomainMismatch if [a, b] is not
-    inside [0, pi].
-    """
-    if a >= b:
-        raise EmptyInterval(f"cell [{a}, {b}] is empty")
-    if a < 0.0 or b > PI + 1e-12:
-        raise DomainMismatch(f"cell [{a}, {b}] is not inside [0, pi]")
-    return integral(q, a, b) / (b - a)
 
 
 def cell_averages(q: Potential, mesh: np.ndarray) -> np.ndarray:

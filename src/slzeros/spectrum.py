@@ -121,18 +121,6 @@ class Eigenpair:
     slopes: tuple[float, ...]
 
 
-def characteristic(q: Potential, mu: float, bc: BoundaryParams,
-                   cells: int = DEFAULT_CELLS) -> float:
-    """Value whose zeros in mu are the eigenvalues:
-    y(0)*cos(alpha) + y'(0)*sin(alpha) for the right-launched solution."""
-    traj = propagate(q, mu, right_conditions(bc.beta), cells, variational=False)
-    y0, yp0 = traj.states[0]
-    value = float(y0 * math.cos(bc.alpha) + yp0 * math.sin(bc.alpha))
-    log_scale = float(traj.log_scale[0])
-    with np.errstate(over="ignore"):
-        return float(value * math.exp(log_scale)) if log_scale != 0.0 else value
-
-
 def _characteristic_and_derivative(q, mu, bc, cells):
     traj = propagate(q, mu, right_conditions(bc.beta), cells, variational=True)
     y0, yp0, dy0, dyp0 = traj.states[0]

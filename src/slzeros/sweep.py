@@ -8,8 +8,11 @@ right-launched eigenfunction's zeros move right, and a new zero enters
 through x = 0 exactly at alpha = pi.  The sweep engine re-solves the
 eigenpair at every grid angle and links zeros between neighbouring angles
 by nearest-neighbour matching with a displacement guard; endpoint entry and
-exit events are recorded with the grid bracket in which they happened and
-can be refined to width 1e-8 with detect_transition.
+exit events are recorded with the grid bracket in which they happened.
+detect_transition narrows a bracket to width 1e-8: the theorem places the
+event at the pinning angle (beta = 0, alpha = pi), so the bracket is halved
+toward it without solving, and one solve at each end of the final bracket
+confirms that the watched endpoint value changes state across it.
 
 Per-angle solves reuse the trusted spectrum/oscillation machinery, so the
 analytic velocity formulas stay available as independent cross-checks
@@ -275,8 +278,13 @@ def detect_transition(plan: SweepPlan, event: str, zero_id: int | None = None,
     """Refine an endpoint event's angle bracket to width 1e-8.
 
     ``event`` is one of the entered/exited kinds; ``zero_id`` restricts the
-    search to one tracked zero.  Raises EventNotFound if the sweep contains
-    no matching event.
+    search to one tracked zero.  By the oscillation theorem the watched
+    endpoint value vanishes only at the pinning angle (beta = 0 for beta
+    sweeps, alpha = pi for alpha sweeps), so the bracket is halved toward
+    that angle without solving, and the endpoint state is then confirmed
+    by one solve at each end of the final bracket.  Raises EventNotFound if
+    the sweep contains no matching event, if its bracket does not reach
+    the pinning angle, or if the two ends do not differ in state.
     """
     if result is None:
         result = run_sweep(plan)
@@ -292,15 +300,17 @@ def detect_transition(plan: SweepPlan, event: str, zero_id: int | None = None,
         raise EventNotFound(f"no {event!r} event"
                             + (f" for zero {zero_id}" if zero_id is not None else ""))
     lo, hi = found["angle_lo"], found["angle_hi"]
-    p_lo = _endpoint_pinned(plan, lo)
-    p_hi = _endpoint_pinned(plan, hi)
-    if p_lo == p_hi:
+    pin = 0.0 if plan.vary == VARY_BETA else PI
+    if pin not in (lo, hi):
         raise EventNotFound(
-            f"endpoint value does not change state across [{lo}, {hi}]")
+            f"event bracket [{lo}, {hi}] does not reach the pinning angle {pin}")
     while hi - lo > _EVENT_WIDTH:
         mid = 0.5 * (lo + hi)
-        if _endpoint_pinned(plan, mid) == p_lo:
-            lo = mid
-        else:
+        if pin == lo:
             hi = mid
+        else:
+            lo = mid
+    if _endpoint_pinned(plan, lo) == _endpoint_pinned(plan, hi):
+        raise EventNotFound(
+            f"endpoint value does not change state across [{lo}, {hi}]")
     return lo, hi

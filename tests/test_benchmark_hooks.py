@@ -46,6 +46,8 @@ def test_tracer_yields_every_per_layer_metric(traced):
     assert [name for name, _ in layertrace.PER_LAYER] == list(metrics)
     for name, entry in metrics.items():
         assert math.isfinite(entry["value"]) and entry["value"] > 0, name
+    # the event is placed by the theorem: only its confirmation solves scan
+    assert metrics["sweep.phase_evals_per_event"]["value"] <= 10
 
 
 def test_cached_solve_propagates_twice(traced):
@@ -71,13 +73,13 @@ def test_exported_names():
     assert exported == {
         "BoundaryParams", "BracketFailure", "ConfigError", "CountMismatch",
         "DEFAULT_CELLS", "DegenerateRatio", "DomainMismatch", "Eigenpair",
-        "EmptyInterval", "EndpointConditions", "EventNotFound", "EvfCoordinates",
-        "IndexOutOfRange", "LinkAmbiguity", "MeshTooCoarse", "MonotonicityViolation",
+        "EndpointConditions", "EventNotFound", "EvfCoordinates",
+        "LinkAmbiguity", "MeshTooCoarse", "MonotonicityViolation",
         "NonFinite", "NonIntegrableExponent", "NonMonotoneTable", "PhaseRecord",
         "Potential", "SLZerosError", "SlopeUnderflow", "SolutionTrajectory",
         "SolverFault", "SweepPlan", "SweepResult", "UnknownKind", "ZeroRecord",
-        "ZeroTrajectory", "characteristic", "detect_transition", "eval_cell_average",
+        "ZeroTrajectory", "detect_transition",
         "evf", "evf_grid", "find_eigenvalue", "find_zeros", "identity_residual",
         "left_conditions", "parse_potential", "propagate", "right_conditions",
-        "run_sweep", "zero_velocity_phi", "zero_velocity_psi",
+        "run_sweep",
     }

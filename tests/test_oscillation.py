@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slzeros import oscillation, potential, spectrum
-from slzeros.errors import CountMismatch, IndexOutOfRange, SlopeUnderflow
+from slzeros.errors import CountMismatch, SlopeUnderflow
 from slzeros.oscillation import (
     _DEDUP,
     _END_FUZZ,
@@ -20,10 +20,9 @@ from slzeros.oscillation import (
     canonical_zero_records,
     find_zeros,
     identity_residual,
+    pair_velocity_records,
     proportionality_residual,
     velocity_records,
-    zero_velocity_phi,
-    zero_velocity_psi,
 )
 from slzeros.shooting import (
     _cell_frame,
@@ -86,26 +85,32 @@ def test_slopes_are_simple(q_cos2x):
         assert abs(r.slope) > 1e-6
 
 
+def _velocity(q, pair, k, cells, side):
+    """dx/dmu of the k-th zero of the eigenpair's launch on side: ordinals
+    ascend from 0 for the left launch and descend from pi for the right."""
+    return next(r.velocity for r in pair_velocity_records(q, pair, cells, side) if r.k == k)
+
+
 @pytest.mark.parametrize("n", range(4))
 def test_flat_velocity_closed_form(q_zero, n):
     pair = find_eigenvalue(q_zero, n, DD, 1024)
     for k in range(n + 2):
-        got = zero_velocity_phi(q_zero, pair, k, 1024)
+        got = _velocity(q_zero, pair, k, 1024, "left")
         want = -PI * k / (2.0 * (n + 1) ** 3)
         assert got == pytest.approx(want, rel=1e-8, abs=1e-12)
 
 
 def test_pinned_zero_has_zero_velocity(q_cos2x):
     pair = find_eigenvalue(q_cos2x, 2, DD, 1024)
-    assert zero_velocity_phi(q_cos2x, pair, 0, 1024) == 0.0
-    assert zero_velocity_psi(q_cos2x, pair, 0, 1024) == 0.0  # k=0 is the zero at pi
+    assert _velocity(q_cos2x, pair, 0, 1024, "left") == 0.0
+    assert _velocity(q_cos2x, pair, 0, 1024, "right") == 0.0  # k=0 is the zero at pi
 
 
 def test_flat_psi_velocity_mirror(q_zero):
     pair = find_eigenvalue(q_zero, 0, DD, 1024)
     # rightmost zero (k=0) sits at pi and is pinned; the k=1 zero at 0 moves
-    assert zero_velocity_psi(q_zero, pair, 0, 1024) == 0.0
-    assert zero_velocity_psi(q_zero, pair, 1, 1024) == pytest.approx(PI / 2, rel=1e-10)
+    assert _velocity(q_zero, pair, 0, 1024, "right") == 0.0
+    assert _velocity(q_zero, pair, 1, 1024, "right") == pytest.approx(PI / 2, rel=1e-10)
 
 
 def test_velocity_signs(q_cos2x):
@@ -120,7 +125,7 @@ def test_velocity_signs(q_cos2x):
 def test_velocity_fd_oracle_spot(q_cos2x):
     pair = find_eigenvalue(q_cos2x, 2, DD, 2048)
     h = 1e-6
-    v = zero_velocity_phi(q_cos2x, pair, 1, 2048)
+    v = _velocity(q_cos2x, pair, 1, 2048, "left")
     zs = {}
     for sgn in (-1, 1):
         t = propagate(q_cos2x, pair.mu + sgn * h, left_conditions(PI), 2048,
@@ -133,21 +138,15 @@ def test_velocity_fd_oracle_spot(q_cos2x):
     assert v == pytest.approx(fd, rel=1e-4)
 
 
-def test_velocity_index_out_of_range(q_zero):
-    pair = find_eigenvalue(q_zero, 1, DD, 512)
-    with pytest.raises(IndexOutOfRange):
-        zero_velocity_phi(q_zero, pair, 99, 512)
-
-
 def test_velocities_of_a_launch_with_a_spurious_zero_are_refused():
     # on this deep well each launch alone has a fifth interior zero past the
     # far barrier, which the n = 4 eigenpair does not contain
     q = potential.step(-3000.0, 1.0, 2.0)
     pair = find_eigenvalue(q, 4, BoundaryParams(PI / 2, 0.3), 4096)
     assert sum(1 for x in pair.zeros if 0.0 < x < PI) == 4
-    for velocity in (zero_velocity_phi, zero_velocity_psi):
+    for side in ("left", "right"):
         with pytest.raises(CountMismatch) as info:
-            velocity(q, pair, 4, 4096)
+            pair_velocity_records(q, pair, 4096, side)
         assert (info.value.expected, info.value.found) == (4, 5)
 
 

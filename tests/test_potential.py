@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 from slzeros import potential
 from slzeros.errors import (
     DomainMismatch,
-    EmptyInterval,
     NonIntegrableExponent,
     NonMonotoneTable,
     UnknownKind,
 )
-from slzeros.potential import cell_averages, eval_cell_average, parse_potential
+from slzeros.potential import cell_averages, parse_potential
 
 PI = math.pi
 
@@ -63,18 +62,15 @@ def test_step_validation():
         potential.step(1.0, 2.0, 1.0)
 
 
+def _cell_average(q, a, b):
+    return float(cell_averages(q, np.array([a, b]))[0])
+
+
 def test_cell_average_examples(q_zero):
-    assert eval_cell_average(q_zero, 0.0, PI) == 0.0
-    assert eval_cell_average(potential.constant(3.0), 0.2, 0.9) == pytest.approx(3.0, abs=1e-14)
+    assert _cell_average(q_zero, 0.0, PI) == 0.0
+    assert _cell_average(potential.constant(3.0), 0.2, 0.9) == pytest.approx(3.0, abs=1e-14)
     q = potential.power(1.0, -0.5)
-    assert eval_cell_average(q, 0.0, 0.25) == pytest.approx(4.0, rel=1e-14)
-
-
-def test_cell_average_empty_interval(q_zero):
-    with pytest.raises(EmptyInterval):
-        eval_cell_average(q_zero, 0.5, 0.5)
-    with pytest.raises(EmptyInterval):
-        eval_cell_average(q_zero, 0.7, 0.2)
+    assert _cell_average(q, 0.0, 0.25) == pytest.approx(4.0, rel=1e-14)
 
 
 _KINDS = st.sampled_from([
@@ -94,8 +90,9 @@ def test_cell_average_additive(q, data):
     a = data.draw(st.floats(0.0, PI - 1e-3))
     b = data.draw(st.floats(a + 1e-6, PI))
     m = data.draw(st.floats(a + 1e-9, b - 1e-9))
-    whole = (b - a) * eval_cell_average(q, a, b)
-    parts = (m - a) * eval_cell_average(q, a, m) + (b - m) * eval_cell_average(q, m, b)
+    whole = (b - a) * _cell_average(q, a, b)
+    left, right = cell_averages(q, np.array([a, m, b]))
+    parts = (m - a) * left + (b - m) * right
     assert whole == pytest.approx(parts, abs=1e-12)
 
 
@@ -127,7 +124,7 @@ def test_table_cell_average_exact():
     # integral over [0.5, 1.5]: rising part 0.5*(1+2)/2... piecewise linear
     # segment [0,1]: q = 2x -> integral over [0.5,1] = x^2 | = 0.75
     # segment [1, 1.5]: q = 2 -> 1.0
-    assert eval_cell_average(q, 0.5, 1.5) == pytest.approx(1.75, rel=1e-14)
+    assert _cell_average(q, 0.5, 1.5) == pytest.approx(1.75, rel=1e-14)
 
 
 def test_potential_is_hashable_and_frozen(q_cos2x):

@@ -2,10 +2,13 @@ import math
 
 import pytest
 
-from slzeros import potential
+from slzeros import potential, spectrum, sweep
 from slzeros.errors import DomainMismatch, EventNotFound, LinkAmbiguity
 from slzeros.sweep import (
+    _EVENT_WIDTH,
     SweepPlan,
+    SweepResult,
+    ZeroTrajectory,
     detect_transition,
     link_zeros,
     run_sweep,
@@ -118,6 +121,74 @@ def test_event_not_found(q_zero):
         detect_transition(plan, "entered_at_left", result=res)
     with pytest.raises(EventNotFound):
         detect_transition(plan, "exited_at_right", zero_id=1, result=res)
+
+
+# -- events placed by the theorem against the bisection they replaced ----------
+
+def _bisection_transition(plan, lo, hi):
+    """Bisection on the watched endpoint state, one eigen-solve per probe:
+    the event search as it was before the pinning angle was taken from the
+    oscillation theorem."""
+    p_lo = sweep._endpoint_pinned(plan, lo)
+    p_hi = sweep._endpoint_pinned(plan, hi)
+    if p_lo == p_hi:
+        raise EventNotFound(f"endpoint value does not change state across [{lo}, {hi}]")
+    while hi - lo > _EVENT_WIDTH:
+        mid = 0.5 * (lo + hi)
+        if sweep._endpoint_pinned(plan, mid) == p_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+@pytest.mark.parametrize("qname", ["q_zero", "q_cos2x", "q_singular"])
+def test_transition_matches_bisection_reference(qname, request, monkeypatch):
+    q = request.getfixturevalue(qname)
+    scans, solves = [], []
+    scan, pinned = spectrum.terminal_phase, sweep._endpoint_pinned
+    monkeypatch.setattr(spectrum, "terminal_phase",
+                        lambda *args, **kwargs: scans.append(1) or scan(*args, **kwargs))
+    monkeypatch.setattr(sweep, "_endpoint_pinned",
+                        lambda *args: solves.append(1) or pinned(*args))
+    per_event = []
+    for vary, fixed in [("beta", PI), ("beta", 0.51), ("beta", 2.0),
+                        ("alpha", 0.3), ("alpha", 2.5)]:
+        for n in (1, 2, 3):
+            plan = SweepPlan(q, n, vary, fixed, uniform_grid(vary, 16), 512)
+            res = run_sweep(plan)
+            assert res.events
+            for e in res.events:
+                # counted before the reference runs, so that its probes do
+                # not warm the eigenvalue cache for the confirmation solves
+                scans.clear()
+                solves.clear()
+                got = detect_transition(plan, e["event"], e["zero_id"], res)
+                assert len(solves) == 2
+                per_event.append(len(scans))
+                want = _bisection_transition(plan, e["angle_lo"], e["angle_hi"])
+                assert got == want, (vary, fixed, n, e)
+    # the traced benchmark's sweep.phase_evals_per_event is this mean; one
+    # call alone can take a cold solve of 11 scans (cos2x, alpha sweep at
+    # beta = 2.5, n = 1)
+    assert sum(per_event) / len(per_event) <= 10
+
+
+@pytest.mark.parametrize("vary, event, bracket", [("beta", "exited_at_right", (0.5, 0.7)),
+                                                  ("alpha", "entered_at_left", (2.0, 2.2))])
+def test_event_off_the_pinning_angle_is_refused_without_solving(q_zero, monkeypatch, vary,
+                                                                event, bracket):
+    plan = SweepPlan(q_zero, 1, vary, PI if vary == "beta" else 0.3, uniform_grid(vary, 8), 512)
+    lo, hi = bracket
+    fake = SweepResult([ZeroTrajectory(0, [(lo, 1.0)],
+                                       [{"event": event, "angle_lo": lo, "angle_hi": hi}])], [])
+
+    def no_solve(*args):
+        raise AssertionError("detect_transition solved an eigenproblem")
+
+    monkeypatch.setattr(sweep, "_endpoint_pinned", no_solve)
+    with pytest.raises(EventNotFound):
+        detect_transition(plan, event, result=fake)
 
 
 def test_link_zeros_matching():
