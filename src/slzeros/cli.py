@@ -75,20 +75,25 @@ def parse_angle(text: str) -> float:
     """Angle in radians; accepts 'pi', 'pi/2', '3pi/4', '0.75pi' spellings
     so exact boundary values are expressible."""
     t = text.strip().lower().replace(" ", "")
-    if "pi" not in t:
-        return float(t)
-    num, _, den = t.partition("/")
-    coef = num[:-2] if num.endswith("pi") else num
-    mult = float(coef) if coef not in ("", "+", "-") else float(coef + "1")
-    value = mult * PI
-    if den:
-        value /= float(den)
-    return value
+    try:
+        if "pi" not in t:
+            return float(t)
+        num, slash, den = t.partition("/")
+        coef = num[:-2] if num.endswith("pi") else num
+        mult = float(coef) if coef not in ("", "+", "-") else float(coef + "1")
+        value = mult * PI
+        if slash:
+            value /= float(den)
+        return value
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"cannot parse angle {text!r}") from None
 
 
 def parse_n_range(text: str) -> list[int]:
     if ".." in text:
         a, b = text.split("..")
+        if int(b) < int(a):
+            raise ConfigError(f"index range {text!r} is empty")
         return list(range(int(a), int(b) + 1))
     return [int(text)]
 

@@ -22,9 +22,7 @@ running 2x2 product, or of the M and D blocks of the variational product
 in-block step is a few elementwise operations across all blocks at once.
 The prefix entering each block is carried from block to block in Python
 floats with running log-scale factors, so deep hyperbolic probes during
-eigenvalue bracketing cannot overflow.  A slower sequential fallback with
-identical semantics covers the rare regime where the scan would lose the
-decaying solution to cancellation.
+eigenvalue bracketing cannot overflow.
 """
 
 from __future__ import annotations
@@ -351,10 +349,8 @@ def _scan(f, w, s, v0):
     entry (r, k) of part p (M or D) of the product of the first j + 1 cells
     of block b.  The full prefix entering each block is carried in Python
     floats with log rescaling (_block_carry), and P = WW G_prev is formed
-    entry by entry.  Returns the states, their log scales, their largest
-    entries, and whether the scan kept the decaying solution: a stored
-    state far smaller than its prefix means the launch data sit near the
-    decaying hyperbolic direction and the product lost it to roundoff.
+    entry by entry.  Returns the states, their log scales and their largest
+    entries.
     """
     n = len(w)
     k = len(v0)
@@ -393,9 +389,7 @@ def _scan(f, w, s, v0):
     vals = P[:, :, :, 0] * v0[0] + P[:, :, :, 1] * v0[1]
     if parts == 2:
         vals[:, :, 1] += P[:, :, 0, 0] * v0[2] + P[:, :, 0, 1] * v0[3]
-    pmax = np.abs(P).reshape(block, 4 * parts, nblocks).max(axis=1)
     vmax = np.abs(vals).reshape(block, k, nblocks).max(axis=1)
-    healthy = bool((vmax / (pmax * max(float(np.abs(v0).max()), 1e-300))).min() > 1e-12)
     states = np.empty((n + 1, k))
     states[0] = v0
     states[1:] = vals.transpose(3, 0, 2, 1).reshape(nblocks * block, k)[:n]
@@ -405,43 +399,14 @@ def _scan(f, w, s, v0):
     m = np.empty(n + 1)
     m[0] = float(np.abs(v0).max())
     m[1:] = vmax.T.reshape(-1)[:n]
-    return states, sig_pts, m, healthy
-
-
-def _states_sequential(mats, v0):
-    """Reference propagation: one cell at a time, rescaling above 1e150."""
-    n, k, _ = mats.shape
-    states = np.empty((n + 1, k))
-    sig_pts = np.empty(n + 1)
-    v = np.array(v0, dtype=float)
-    states[0] = v
-    sig_pts[0] = 0.0
-    logs = 0.0
-    for i in range(n):
-        v = mats[i] @ v
-        m = float(np.abs(v).max())
-        if not math.isfinite(m) or m == 0.0:
-            raise NonFinite("state became non-finite", cell_index=i)
-        if m > 1e150:
-            v /= m
-            logs += math.log(m)
-        states[i + 1] = v
-        sig_pts[i + 1] = logs
-    return _normalize_points(states, sig_pts, np.abs(states).max(axis=1))
+    return states, sig_pts, m
 
 
 def _propagate_states(f, w_visit, s_visit, v0):
     """States at the mesh points in visit order from launch data v0, with
     (y, y') or (y, y', dy/dmu, dy'/dmu) by the length of v0; f holds the
     cell functions of (w_visit, s_visit)."""
-    states, sig_pts, m, healthy = _scan(f, w_visit, s_visit, v0)
-    if healthy:
-        states, sig_pts = _normalize_points(states, sig_pts, m)
-    else:
-        # launch data nearly parallel to the decaying hyperbolic direction:
-        # prefix products cancel catastrophically, so step cell by cell.
-        mats = _cell_matrices(w_visit, s_visit, len(v0) == 4)
-        states, sig_pts = _states_sequential(mats, v0)
+    states, sig_pts = _normalize_points(*_scan(f, w_visit, s_visit, v0))
     if not np.all(np.isfinite(states)):
         bad = int(np.argmax(~np.isfinite(states).all(axis=1)))
         raise NonFinite("propagated state is not finite", cell_index=max(bad - 1, 0))

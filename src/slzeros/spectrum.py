@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -128,7 +127,6 @@ def _characteristic_and_derivative(q, mu, bc, cells):
     return y0 * ca + yp0 * sa, dy0 * ca + dyp0 * sa
 
 
-@lru_cache(maxsize=100_000)
 def _locate_mu(q: Potential, n: int, alpha: float, beta: float, cells: int) -> float:
     """Phase bracketing + safeguarded Newton on the scaled phase + Newton
     polish on the characteristic function for the n-th eigenvalue."""

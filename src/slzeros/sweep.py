@@ -5,14 +5,17 @@ left-launched eigenfunction moves right; the zero pinned at pi when
 beta = 0 leaves the segment immediately and nothing re-enters until the
 chart seam.  As alpha rises toward pi the eigenvalue increases, the
 right-launched eigenfunction's zeros move right, and a new zero enters
-through x = 0 exactly at alpha = pi.  The sweep engine re-solves the
+through x = 0 exactly at alpha = pi.  The sweep engine solves the
 eigenpair at every grid angle and links zeros between neighbouring angles
 by nearest-neighbour matching with a displacement guard; endpoint entry and
 exit events are recorded with the grid bracket in which they happened.
-detect_transition narrows a bracket to width 1e-8: the theorem places the
-event at the pinning angle (beta = 0, alpha = pi), so the bracket is halved
-toward it without solving, and one solve at each end of the final bracket
-confirms that the watched endpoint value changes state across it.
+When there are events, a second pass adds angles inside their brackets and
+re-links the whole grid, solving only the new angles.  detect_transition
+narrows a bracket to width 1e-8: the theorem places the event at the
+pinning angle (beta = 0, alpha = pi), so the bracket is halved toward it
+without solving; the sweep's own solve at the pinning angle and one new
+solve at the other end of the final bracket confirm that the watched
+endpoint value changes state across it.
 
 Per-angle solves reuse the trusted spectrum/oscillation machinery, so the
 analytic velocity formulas stay available as independent cross-checks
@@ -179,14 +182,18 @@ def _classify(x: float, kind_enter: bool) -> str:
     return ENTERED_RIGHT if kind_enter else EXITED_RIGHT
 
 
-def _sweep_pass(plan: SweepPlan, angles: list[float]) -> SweepResult:
+def _sweep_pass(plan: SweepPlan, angles: list[float], solved: dict) -> SweepResult:
+    """Link the zeros over the angles.  solved is the sweep's table
+    {angle: (mu, zeros)}; an angle it lacks is solved in turn and added."""
     trajectories: list[ZeroTrajectory] = []
     path: list[tuple[float, float]] = []
     active: dict[int, ZeroTrajectory] = {}  # index within current zero list -> traj
     next_id = 0
 
     for step, angle in enumerate(angles):
-        mu, xs = _solve_angle(plan, angle)
+        if angle not in solved:
+            solved[angle] = _solve_angle(plan, angle)
+        mu, xs = solved[angle]
         path.append((angle, mu))
         if step == 0:
             for x in xs:
@@ -240,10 +247,12 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
     """Trace zero trajectories and the eigenvalue path over the plan's grid.
 
     When events are detected the grid is densified once (x4) inside each
-    event bracket and the sweep re-run, so event brackets come out at the
-    refined resolution.
+    event bracket and the zeros re-linked over the union grid, so event
+    brackets come out at the refined resolution; only the new angles are
+    solved.
     """
-    result = _sweep_pass(plan, list(plan.grid))
+    solved: dict[float, tuple[float, list[float]]] = {}
+    result = _sweep_pass(plan, list(plan.grid), solved)
     extra: list[float] = []
     for e in result.events:
         lo, hi = e["angle_lo"], e["angle_hi"]
@@ -251,18 +260,18 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
     if not extra:
         return result
     angles = sorted(set(list(plan.grid) + extra))
-    return _sweep_pass(plan, angles)
+    return _sweep_pass(plan, angles, solved)
 
 
-def _endpoint_pinned(plan: SweepPlan, angle: float) -> bool:
-    """Whether the watched endpoint value of the eigenfunction vanishes.
+def _endpoint_pinned(plan: SweepPlan, angle: float, mu: float) -> bool:
+    """Whether the watched endpoint value of the eigenfunction at the
+    eigenvalue mu of the given angle vanishes.
 
     Right-side events watch the left-launched solution at pi; left-side
     events watch the right-launched solution at 0.  The value is compared
     against the solution's own scale.
     """
     bc = plan.boundary(angle)
-    mu = _locate_mu(plan.q, plan.n, bc.alpha, bc.beta, plan.cells)
     if plan.side == "left":
         traj = propagate(plan.q, mu, left_conditions(bc.alpha), plan.cells, variational=False)
         endpoint = abs(float(traj.states[-1, 0]))
@@ -281,10 +290,12 @@ def detect_transition(plan: SweepPlan, event: str, zero_id: int | None = None,
     search to one tracked zero.  By the oscillation theorem the watched
     endpoint value vanishes only at the pinning angle (beta = 0 for beta
     sweeps, alpha = pi for alpha sweeps), so the bracket is halved toward
-    that angle without solving, and the endpoint state is then confirmed
-    by one solve at each end of the final bracket.  Raises EventNotFound if
-    the sweep contains no matching event, if its bracket does not reach
-    the pinning angle, or if the two ends do not differ in state.
+    that angle without solving.  The endpoint state is then confirmed at
+    each end of the final bracket: at the pinning angle with the sweep's
+    eigenvalue there, at the other end by one new solve.  Raises
+    EventNotFound if the sweep contains no matching event, if its bracket
+    does not reach the pinning angle, or if the two ends do not differ in
+    state.
     """
     if result is None:
         result = run_sweep(plan)
@@ -310,7 +321,15 @@ def detect_transition(plan: SweepPlan, event: str, zero_id: int | None = None,
             hi = mid
         else:
             lo = mid
-    if _endpoint_pinned(plan, lo) == _endpoint_pinned(plan, hi):
+    path_mu = dict(result.eigenvalue_path)
+
+    def mu_at(angle):
+        if angle == pin:
+            return path_mu[pin]
+        bc = plan.boundary(angle)
+        return _locate_mu(plan.q, plan.n, bc.alpha, bc.beta, plan.cells)
+
+    if _endpoint_pinned(plan, lo, mu_at(lo)) == _endpoint_pinned(plan, hi, mu_at(hi)):
         raise EventNotFound(
             f"endpoint value does not change state across [{lo}, {hi}]")
     return lo, hi

@@ -21,15 +21,13 @@ CELLS = 256
 
 @pytest.fixture(scope="module")
 def traced():
-    # a potential no other test uses, so the mesh and the eigenvalue are
-    # computed inside the trace rather than found in a cache
+    # a potential no other test uses, so the mesh is built inside the trace
+    # rather than found in its cache
     q = potential.cosine(0.75, 3.0)
     bc = BoundaryParams(PI / 2, 0.7)
     tracer = layertrace.Tracer().install()
     try:
         spectrum.find_eigenvalue(q, 2, bc, CELLS)
-        # locate n = 3 first, so that its solve finds mu cached
-        spectrum._locate_mu(q, 3, bc.alpha, bc.beta, CELLS)
         spectrum.find_eigenvalue(q, 3, bc, CELLS)
         oscillation.velocity_records(q, 40.0, bc, CELLS, "left")
         plan = sweep.SweepPlan(q, 1, "beta", PI, sweep.uniform_grid("beta", 8), CELLS)
@@ -44,13 +42,17 @@ def traced():
 def test_tracer_yields_every_per_layer_metric(traced):
     metrics = traced.metrics()
     assert [name for name, _ in layertrace.PER_LAYER] == list(metrics)
+    # no solve is served from a cache
+    assert metrics.pop("spectrum.cache_hit_ratio")["value"] == 0
     for name, entry in metrics.items():
         assert math.isfinite(entry["value"]) and entry["value"] > 0, name
     # the event is placed by the theorem: only its confirmation solves scan
     assert metrics["sweep.phase_evals_per_event"]["value"] <= 10
 
 
-def test_cached_solve_propagates_twice(traced):
+def test_every_solve_propagates_twice(traced):
+    # each solve scans its own phases, then makes one plain left and one
+    # plain right launch
     spans = traced.spans
     solves = [i for i, s in enumerate(spans) if s.name == "spectrum.find_eigenvalue"]
     assert len(solves) == 2
@@ -60,11 +62,10 @@ def test_cached_solve_propagates_twice(traced):
             i = spans[i].parent
         return i == parent
 
-    cached = solves[1]
-    inside = [s.name for i, s in enumerate(spans) if i != cached and under(i, cached)]
-    assert "shooting.terminal_phase" not in inside
-    assert inside.count("shooting.propagate_plain") == 2
-    assert "shooting.propagate_variational" not in inside
+    for solve in solves:
+        inside = [s.name for i, s in enumerate(spans) if i != solve and under(i, solve)]
+        assert "shooting.terminal_phase" in inside
+        assert inside.count("shooting.propagate_plain") == 2
 
 
 def test_exported_names():

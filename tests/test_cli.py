@@ -169,6 +169,25 @@ def test_sweep_requires_out(capsys, monkeypatch):
     assert "--out" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["eigen", "--q", "zero", "--alpha", "pi/0", "--beta", "0"],
+    ["eigen", "--q", "zero", "--alpha", "pi/", "--beta", "0"],
+    ["eigen", "--q", "zero", "--alpha", "pi", "--beta", "0", "--n-range", "3..1"],
+    ["sweep", "--q", "zero", "--n", "1", "--vary", "beta", "--alpha", "pi",
+     "--angle-max", "pi/0"],
+])
+def test_malformed_numbers_are_config_errors(capsys, monkeypatch, tmp_path, args):
+    def fail(*_):
+        raise AssertionError("solved with a malformed argument")
+
+    monkeypatch.setattr(spectrum, "find_eigenvalue", fail)
+    monkeypatch.setattr(sweep, "run_sweep", fail)
+    code, _, err = run_cli(args + ["--out", str(tmp_path / "x")], capsys)
+    assert code == 2
+    assert err.startswith("ConfigError: ")
+    assert not (tmp_path / "x").exists()
+
+
 def test_solver_fault_maps_to_exit_3(capsys):
     code, _, err = run_cli(["eigen", "--q", "zero", "--alpha", "1e-9", "--beta", "0",
                             "--n", "0", "--cells", "64"], capsys)

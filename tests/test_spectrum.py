@@ -176,11 +176,9 @@ def newton_solves(q_zero, q_const5, q_cos2x, q_step, q_singular):
         for q in (q_zero, q_const5, q_cos2x, q_step, q_singular):
             for alpha, beta in SEARCH_BCS:
                 for n in SEARCH_NS:
-                    spectrum._locate_mu.cache_clear()
                     calls.clear()
                     mu = spectrum._locate_mu(q, n, alpha, beta, SEARCH_CELLS)
                     out.append((q, n, alpha, beta, mu, len(calls)))
-    spectrum._locate_mu.cache_clear()
     return out
 
 
@@ -206,7 +204,7 @@ def test_expanded_bracket_scans_no_mu_twice(q_step, monkeypatch):
         return terminal_phase(q, mu, ic, cells)
 
     monkeypatch.setattr(spectrum, "terminal_phase", counted)
-    spectrum._locate_mu.__wrapped__(q_step, 0, 0.6, 2.5, 1024)
+    spectrum._locate_mu(q_step, 0, 0.6, 2.5, 1024)
     assert -1.0 in scanned
     assert len(scanned) == len(set(scanned))
 
@@ -339,12 +337,17 @@ MATCHED_CASES = (
 )
 
 
-def test_matched_zero_list_regression_matrix():
+def test_matched_zero_list_regression_matrix(monkeypatch):
+    located = []
+    locate = spectrum._locate_mu
+    monkeypatch.setattr(spectrum, "_locate_mu",
+                        lambda *args: located.append(locate(*args)) or located[-1])
     for q, n, beta in MATCHED_CASES:
         bc = BoundaryParams(PI / 2, beta)
+        located.clear()
         pair = find_eigenvalue(q, n, bc, MATCHED_CELLS)
         assert _interior(pair) == n, (q, n, beta)
-        assert pair.mu == spectrum._locate_mu(q, n, PI / 2, beta, MATCHED_CELLS)
+        assert located == [pair.mu]
         mesh, _, qbar, _ = _mesh_data(q, MATCHED_CELLS)
         xm = mesh[int(np.argmin(qbar))]
         phi_own = [r.x for r in canonical_zero_records(q, pair.mu, bc, MATCHED_CELLS, "left")]

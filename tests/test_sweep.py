@@ -125,17 +125,25 @@ def test_event_not_found(q_zero):
 
 # -- events placed by the theorem against the bisection they replaced ----------
 
-def _bisection_transition(plan, lo, hi):
+def _bisection_transition(plan, result, lo, hi):
     """Bisection on the watched endpoint state, one eigen-solve per probe:
     the event search as it was before the pinning angle was taken from the
-    oscillation theorem."""
-    p_lo = sweep._endpoint_pinned(plan, lo)
-    p_hi = sweep._endpoint_pinned(plan, hi)
+    oscillation theorem.  The bracket ends are sweep angles, whose
+    eigenvalues the sweep's path holds."""
+    path_mu = dict(result.eigenvalue_path)
+
+    def pinned(angle):
+        bc = plan.boundary(angle)
+        mu = spectrum._locate_mu(plan.q, plan.n, bc.alpha, bc.beta, plan.cells)
+        return sweep._endpoint_pinned(plan, angle, mu)
+
+    p_lo = sweep._endpoint_pinned(plan, lo, path_mu[lo])
+    p_hi = sweep._endpoint_pinned(plan, hi, path_mu[hi])
     if p_lo == p_hi:
         raise EventNotFound(f"endpoint value does not change state across [{lo}, {hi}]")
     while hi - lo > _EVENT_WIDTH:
         mid = 0.5 * (lo + hi)
-        if sweep._endpoint_pinned(plan, mid) == p_lo:
+        if pinned(mid) == p_lo:
             lo = mid
         else:
             hi = mid
@@ -159,19 +167,33 @@ def test_transition_matches_bisection_reference(qname, request, monkeypatch):
             res = run_sweep(plan)
             assert res.events
             for e in res.events:
-                # counted before the reference runs, so that its probes do
-                # not warm the eigenvalue cache for the confirmation solves
                 scans.clear()
                 solves.clear()
                 got = detect_transition(plan, e["event"], e["zero_id"], res)
                 assert len(solves) == 2
                 per_event.append(len(scans))
-                want = _bisection_transition(plan, e["angle_lo"], e["angle_hi"])
+                want = _bisection_transition(plan, res, e["angle_lo"], e["angle_hi"])
                 assert got == want, (vary, fixed, n, e)
     # the traced benchmark's sweep.phase_evals_per_event is this mean; one
     # call alone can take a cold solve of 11 scans (cos2x, alpha sweep at
     # beta = 2.5, n = 1)
     assert sum(per_event) / len(per_event) <= 10
+
+
+@pytest.mark.parametrize("vary, fixed", [("beta", PI), ("alpha", 0.3)])
+def test_sweep_solves_each_angle_once(q_cos2x, monkeypatch, vary, fixed):
+    # the refinement pass re-links the grid angles from the sweep's own
+    # solves, and an event's pinning end reads its eigenvalue off the path
+    located = []
+    locate = sweep._locate_mu
+    monkeypatch.setattr(sweep, "_locate_mu",
+                        lambda *args: located.append(args[2:4]) or locate(*args))
+    plan = SweepPlan(q_cos2x, 2, vary, fixed, uniform_grid(vary, 12), 512)
+    res = run_sweep(plan)
+    assert res.events and len(res.eigenvalue_path) > len(plan.grid)
+    for e in res.events:
+        detect_transition(plan, e["event"], e["zero_id"], res)
+    assert len(set(located)) == len(located) == len(res.eigenvalue_path) + len(res.events)
 
 
 @pytest.mark.parametrize("vary, event, bracket", [("beta", "exited_at_right", (0.5, 0.7)),
